@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: all build test race lint lint-new lint-negative checked bench-msbfs bench-obs fuzz-smoke chaos serve fmt clean
+.PHONY: all build test race lint lint-new lint-negative checked bench fuzz-smoke chaos serve fmt clean
 
 all: build test
 
@@ -52,17 +52,10 @@ lint-negative: $(BIN)/fdiamlint
 checked:
 	$(GO) test -tags fdiam.checked -count=1 ./internal/core/...
 
-# bench-msbfs races the legacy main loop (batching disabled) against the
-# MS-BFS-batched one over the Table 1 stand-in catalog and refreshes the
-# BENCH_pr6.json snapshot.
-bench-msbfs:
-	$(GO) run ./cmd/experiments -run ext-msbfs -runs 5 -json BENCH_pr6.json
-
-# bench-obs measures the telemetry layer's overhead (disarmed vs armed
-# histograms vs full per-request tracing) over the same catalog and
-# refreshes the BENCH_pr7.json snapshot.
-bench-obs:
-	$(GO) run ./cmd/experiments -run ext-obs -runs 5 -workers 4 -json BENCH_pr7.json
+# bench runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json) on every workload; see perfbench/README.md for its flags.
+bench:
+	python3 perfbench/run.py --workload all
 
 fuzz-smoke:
 	$(GO) test -tags fdiam.checked -fuzz=FuzzDiameterMatchesNaive -fuzztime=15s -run='^$$' ./internal/core/

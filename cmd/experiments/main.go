@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -33,13 +34,12 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-algos, ext-allecc, ext-diropt, ext; bfs (substrate comparison); ext-msbfs (main-loop batching comparison); ext-obs (telemetry overhead)")
+	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-algos, ext-allecc, ext-diropt, ext-twosweep, ext-approx, ext")
 	scaleFlag := fs.String("scale", "quick", "stand-in scale: quick or full")
 	runs := fs.Int("runs", 3, "timed repetitions per measurement (median reported; the paper uses 9)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-run timeout (the paper used 2.5h at full dataset scale)")
 	workers := fs.Int("workers", 0, "workers for the parallel codes (0 = all CPUs)")
 	workloadsFlag := fs.String("workloads", "", "comma-separated workload names (default: all 17)")
-	jsonPath := fs.String("json", "", "with -run bfs, ext-msbfs or ext-obs: also write the comparison as JSON to this file")
 	traceDir := fs.String("tracedir", "", "write a Chrome trace artifact per (workload, F-Diam code) into this directory during the main sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -61,21 +61,9 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := bench.Config{Runs: *runs, Timeout: *timeout, Workers: *workers, TraceDir: *traceDir}
 
-	catalog := func() []*bench.Workload {
-		all := bench.Catalog(scale)
-		if *workloadsFlag == "" {
-			return all
-		}
-		var out []*bench.Workload
-		for _, name := range strings.Split(*workloadsFlag, ",") {
-			w := bench.Find(all, strings.TrimSpace(name))
-			if w == nil {
-				fmt.Fprintf(os.Stderr, "warning: unknown workload %q\n", name)
-				continue
-			}
-			out = append(out, w)
-		}
-		return out
+	workloads, err := selectWorkloads(bench.Catalog(scale), *workloadsFlag)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "F-Diam reproduction experiments (scale=%s, runs=%d, timeout=%s)\n",
@@ -97,12 +85,12 @@ func run(args []string, out io.Writer) error {
 
 	if want("table1") {
 		ran = true
-		bench.Table1(out, catalog(), cfg)
+		bench.Table1(out, workloads, cfg)
 	}
 	if want("table2") || want("fig6") {
 		ran = true
 		fmt.Fprintln(out, "Running the main sweep (Table 2 + Figure 6)...")
-		rows := bench.MainSweep(catalog(), cfg, out)
+		rows := bench.MainSweep(workloads, cfg, out)
 		fmt.Fprintln(out)
 		if want("table2") {
 			bench.Table2(out, rows)
@@ -113,29 +101,29 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("table3") {
 		ran = true
-		bench.Table3(out, catalog(), cfg)
+		bench.Table3(out, workloads, cfg)
 	}
 	if want("table4") {
 		ran = true
-		bench.Table4(out, catalog(), cfg)
+		bench.Table4(out, workloads, cfg)
 	}
 	if want("fig7") {
 		ran = true
-		bench.Fig7(out, catalog(), cfg)
+		bench.Fig7(out, workloads, cfg)
 	}
 	if want("fig8") {
 		ran = true
-		bench.Fig8(out, catalog(), cfg)
+		bench.Fig8(out, workloads, cfg)
 	}
 	if want("table5") {
 		ran = true
-		bench.Table5(out, catalog(), cfg)
+		bench.Table5(out, workloads, cfg)
 	}
 	if want("fig9") {
 		ran = true
-		bench.Fig9(out, catalog(), cfg)
+		bench.Fig9(out, workloads, cfg)
 	}
-	// Extension experiments are opt-in ("ext" selects all three); "all"
+	// Extension experiments are opt-in ("ext" selects all of them); "all"
 	// covers only the paper's artifacts.
 	wantExt := func(name string) bool {
 		for _, s := range selected {
@@ -148,96 +136,54 @@ func run(args []string, out io.Writer) error {
 	}
 	if wantExt("ext-algos") {
 		ran = true
-		bench.TableExtensions(out, catalog(), cfg)
+		bench.TableExtensions(out, workloads, cfg)
 	}
 	if wantExt("ext-allecc") {
 		ran = true
-		bench.TableAllEcc(context.Background(), out, catalog(), cfg)
+		bench.TableAllEcc(context.Background(), out, workloads, cfg)
 	}
 	if wantExt("ext-diropt") {
 		ran = true
-		bench.TableDirOpt(out, catalog(), cfg)
+		bench.TableDirOpt(out, workloads, cfg)
 	}
 	if wantExt("ext-twosweep") {
 		ran = true
-		bench.TableTwoSweep(out, catalog(), cfg)
+		bench.TableTwoSweep(out, workloads, cfg)
 	}
 	if wantExt("ext-approx") {
 		ran = true
-		bench.TableApprox(out, catalog(), cfg)
-	}
-	// "bfs" races the current BFS substrate against the seed revision's and
-	// snapshots the result (BENCH_pr1.json). Opt-in: it is a substrate
-	// regression check, not one of the paper's artifacts.
-	if wantExt("bfs") {
-		ran = true
-		fmt.Fprintln(out, "Racing legacy vs adaptive BFS substrate...")
-		rows, err := bench.BFSComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableBFS(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteBFSComparisonJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	// "ext-msbfs" races the legacy main loop (batching disabled) against
-	// the MS-BFS-batched one and snapshots the result (BENCH_pr6.json).
-	if wantExt("ext-msbfs") {
-		ran = true
-		fmt.Fprintln(out, "Racing legacy vs MS-BFS-batched main loop...")
-		rows, err := bench.MSBFSComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableMSBFS(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteMSBFSComparisonJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
-	}
-	// "ext-obs" measures the PR-7 telemetry layer: disarmed vs armed
-	// histograms vs full per-request tracing (BENCH_pr7.json).
-	if wantExt("ext-obs") {
-		ran = true
-		fmt.Fprintln(out, "Measuring telemetry overhead (off vs armed vs traced)...")
-		rows, err := bench.ObsOverheadComparison(catalog(), cfg, out)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		bench.TableObsOverhead(out, rows)
-		if *jsonPath != "" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteObsOverheadJSON(f, *scaleFlag, cfg, rows); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *jsonPath)
-		}
+		bench.TableApprox(out, workloads, cfg)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *which)
 	}
 	return nil
+}
+
+// selectWorkloads resolves the comma-separated -workloads list against the
+// catalog (empty selects all of it). Every experiment shares the result, so
+// an unknown name fails the run once, before anything is measured.
+func selectWorkloads(all []*bench.Workload, list string) ([]*bench.Workload, error) {
+	if list == "" {
+		return all, nil
+	}
+	var picked []*bench.Workload
+	var unknown []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if w := bench.Find(all, name); w != nil {
+			picked = append(picked, w)
+		} else {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		valid := make([]string, len(all))
+		for i, w := range all {
+			valid[i] = w.Name
+		}
+		return nil, fmt.Errorf("unknown workload %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return picked, nil
 }

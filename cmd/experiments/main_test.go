@@ -57,4 +57,24 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}, &buf); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// An unknown workload fails the run before anything is measured, and
+	// the error names both the culprit and the valid choices.
+	buf.Reset()
+	err := run([]string{"-workloads", "rmat16.sym,nosuch", "-run", "table1"}, &buf)
+	if err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	for _, want := range []string{`"nosuch"`, "rmat16.sym", "USA-road-d.NY"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("output written before the workload check:\n%s", buf.String())
+	}
+	for _, mode := range []string{"bfs", "ext-msbfs", "ext-obs"} {
+		if err := run([]string{"-run", mode, "-workloads", "rmat16.sym"}, &buf); err == nil {
+			t.Errorf("retired experiment %q accepted", mode)
+		}
+	}
 }

@@ -100,13 +100,6 @@ func run(args []string, out io.Writer) (int, error) {
 	noChain := fs.Bool("no-chain", false, "disable Chain Processing (ablation)")
 	noU := fs.Bool("no-u", false, "start from vertex 0 instead of the max-degree vertex (ablation)")
 	noDirOpt := fs.Bool("no-diropt", false, "force plain top-down BFS (disable the bottom-up switch)")
-	alpha := fs.Int("alpha", 0, "direction-heuristic alpha: go bottom-up when modeled bottom-up cost < alpha x top-down cost (0 = default 2)")
-	beta := fs.Int("beta", 0, "direction-heuristic beta: return top-down when frontier < n/beta vertices (0 = default 8)")
-	noBatch := fs.Bool("no-batch", false, "disable MS-BFS batching of the main loop (legacy one-BFS-per-vertex behavior)")
-	batchForce := fs.Bool("batch-force", false, "batch every main-loop evaluation, bypassing the cost model")
-	batchMin := fs.Int("batch-min", 0, "cost model: minimum remaining active vertices before batching (0 = default 16)")
-	batchMaxPrune := fs.Float64("batch-maxprune", 0, "cost model: batch only while the recent removals-per-BFS average is at most this (0 = default 16)")
-	batchRows := fs.Bool("batch-rows", false, "request per-source distance rows from each batch and eliminate by row scan")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	verbose := fs.Bool("v", false, "print graph statistics before solving")
@@ -272,19 +265,10 @@ func run(args []string, out io.Writer) (int, error) {
 			DisableChain:        *noChain,
 			StartAtVertexZero:   *noU,
 			DisableDirectionOpt: *noDirOpt,
-			BFSAlpha:            *alpha,
-			BFSBeta:             *beta,
-			Batch: core.BatchOptions{
-				Disable:   *noBatch,
-				Force:     *batchForce,
-				MinActive: *batchMin,
-				MaxPrune:  *batchMaxPrune,
-				Rows:      *batchRows,
-			},
-			Checkpoint: ck,
-			Trace:      trace,
-			Epsilon:    int32(*epsilon),
-			Approx:     core.ApproxOptions{Sweeps: *approxSweeps},
+			Checkpoint:          ck,
+			Trace:               trace,
+			Epsilon:             int32(*epsilon),
+			Approx:              core.ApproxOptions{Sweeps: *approxSweeps},
 		})
 		if res.ResumeError != "" {
 			fmt.Fprintf(os.Stderr, "fdiam: checkpoint resume failed (%s); solved from scratch\n", res.ResumeError)

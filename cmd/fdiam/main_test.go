@@ -73,14 +73,13 @@ func TestRunDirectionAndProfileFlags(t *testing.T) {
 	mem := filepath.Join(dir, "mem.pprof")
 	var buf bytes.Buffer
 	_, err := run([]string{
-		"-no-diropt", "-alpha", "7", "-beta", "48",
-		"-cpuprofile", cpu, "-memprofile", mem, path,
+		"-no-diropt", "-cpuprofile", cpu, "-memprofile", mem, path,
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "diameter: 10") {
-		t.Errorf("tuned run wrong: %q", buf.String())
+		t.Errorf("top-down-only run wrong: %q", buf.String())
 	}
 	for _, p := range []string{cpu, mem} {
 		data, err := os.ReadFile(p)

@@ -93,8 +93,8 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 			ref.SetDirectionOptimized(false)
 			adaptive := New(g, workers)
 			forced := New(g, workers)
-			forced.SetAlphaBeta(1<<30, 1<<30)
-			forced.SetSerialCutoff(0)
+			forced.setAlphaBeta(1<<30, 1<<30)
+			forced.setSerialCutoff(0)
 			srcs := []graph.Vertex{g.MaxDegreeVertex()}
 			for v := 0; v < n; v += step {
 				srcs = append(srcs, graph.Vertex(v))
@@ -127,7 +127,7 @@ func TestAlphaBetaExtremesAgree(t *testing.T) {
 	ref.SetDirectionOptimized(false)
 	for _, ab := range [][2]int{{1, 1}, {1, 1 << 30}, {1 << 30, 1}, {1 << 30, 1 << 30}, {3, 5}} {
 		e := New(g, 1)
-		e.SetAlphaBeta(ab[0], ab[1])
+		e.setAlphaBeta(ab[0], ab[1])
 		for v := 0; v < g.NumVertices(); v += 97 {
 			if got, want := e.Eccentricity(graph.Vertex(v)), ref.Eccentricity(graph.Vertex(v)); got != want {
 				t.Errorf("alpha=%d beta=%d: ecc(%d) = %d, want %d", ab[0], ab[1], v, got, want)
@@ -143,7 +143,7 @@ func TestSetWorkersKeepsWarmBuffers(t *testing.T) {
 	// buffers so a later grow reuses them instead of reallocating.
 	g := gen.RMAT(11, 12, gen.DefaultRMAT, 17)
 	e := New(g, 8)
-	e.SetSerialCutoff(0) // force the parallel paths so every buffer warms up
+	e.setSerialCutoff(0) // force the parallel paths so every buffer warms up
 	defer e.Close()
 	want := e.Eccentricity(g.MaxDegreeVertex())
 	// On few-core machines the dispatching caller can drain every chunk

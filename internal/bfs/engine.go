@@ -190,14 +190,14 @@ func (e *Engine) SetWorkers(w int) {
 // traversals (enabled by default).
 func (e *Engine) SetDirectionOptimized(on bool) { e.dirOpt = on }
 
-// SetAlphaBeta overrides the direction-switch parameters: the hybrid goes
+// setAlphaBeta overrides the direction-switch parameters: the hybrid goes
 // bottom-up when the modeled bottom-up cost is below alpha× the top-down
 // cost (runWith documents the model), and returns top-down when the
 // frontier has fewer than n/beta vertices. Values < 1 select the defaults
 // (DefaultAlpha, DefaultBeta). Huge values of both — alpha beyond
 // n·(m+1) — force bottom-up from the first level and keep it there, which
 // tests use to exercise the bottom-up kernel on every topology.
-func (e *Engine) SetAlphaBeta(alpha, beta int) {
+func (e *Engine) setAlphaBeta(alpha, beta int) {
 	if alpha < 1 {
 		alpha = DefaultAlpha
 	}
@@ -233,9 +233,9 @@ func (e *Engine) SetBarrier(f func()) { e.barrier = f }
 // but must not be recorded as an exact value.
 func (e *Engine) Aborted() bool { return e.aborted }
 
-// SetSerialCutoff overrides the frontier size below which parallel
+// setSerialCutoff overrides the frontier size below which parallel
 // traversals expand serially (default 1024).
-func (e *Engine) SetSerialCutoff(c int) {
+func (e *Engine) setSerialCutoff(c int) {
 	if c < 0 {
 		c = 0
 	}

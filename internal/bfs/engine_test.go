@@ -225,8 +225,8 @@ func TestBottomUpTriggersAndAgrees(t *testing.T) {
 	// the switch condition always hold, a huge β prevents switching back.
 	g2 := gen.RandomConnected(300, 300, 9)
 	e2 := New(g2, 4)
-	e2.SetAlphaBeta(1<<30, 1<<30)
-	e2.SetSerialCutoff(0)
+	e2.setAlphaBeta(1<<30, 1<<30)
+	e2.setSerialCutoff(0)
 	for v := 0; v < 300; v += 37 {
 		want := refEcc(refDistances(g2, graph.Vertex(v)))
 		if got := e2.Eccentricity(graph.Vertex(v)); got != want {
@@ -347,13 +347,13 @@ func BenchmarkEccentricity(b *testing.B) {
 func TestEngineKnobClamping(t *testing.T) {
 	g := gen.Path(20)
 	e := New(g, 2)
-	e.SetAlphaBeta(0, -3) // selects the defaults
-	e.SetSerialCutoff(-5) // clamps to 0
+	e.setAlphaBeta(0, -3) // selects the defaults
+	e.setSerialCutoff(-5) // clamps to 0
 	if got := e.Eccentricity(0); got != 19 {
 		t.Fatalf("ecc with extreme knobs = %d, want 19", got)
 	}
-	e.SetAlphaBeta(1<<30, 1<<30)
-	e.SetSerialCutoff(1 << 30)
+	e.setAlphaBeta(1<<30, 1<<30)
+	e.setSerialCutoff(1 << 30)
 	if got := e.Eccentricity(0); got != 19 {
 		t.Fatalf("ecc with huge knobs = %d, want 19", got)
 	}

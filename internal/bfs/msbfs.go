@@ -47,11 +47,6 @@ type MultiSourceResult struct {
 	// distance exactly Ecc[i] from sources[i] (the source itself when
 	// Ecc[i] == 0).
 	Witness []graph.Vertex
-	// Rows, when requested, holds per-source hop-distance rows:
-	// Rows[i][v] is d(sources[i], v), or -1 for vertices the source did
-	// not reach. nil unless requested. After an aborted run only
-	// distances ≤ Levels are recorded.
-	Rows [][]int32
 	// Levels is the number of completed levels (the maximum of Ecc).
 	Levels int32
 	// Aborted reports that the cancellation flag cut the run short
@@ -85,32 +80,25 @@ type msState struct {
 	// ecc and wit are the per-source output buffers (64 slots).
 	ecc []int32
 	wit []graph.Vertex
-	// rows holds the optional per-source distance rows, allocated on the
-	// first rows request. rowsDirty/rowsBits record which (vertex, bit)
-	// entries the previous rows run wrote, so the next one resets exactly
-	// those instead of 64·n entries.
-	rows      [][]int32
-	rowsDirty []graph.Vertex
-	rowsBits  []uint64
 }
 
 // MultiSourceRun runs one bit-parallel MS-BFS batch of up to 64 sources
-// and returns per-source eccentricities and farthest witnesses, plus
-// per-source distance rows when wantRows is set. It honors the engine's
-// traversal contract: the cancellation flag (SetCancel) is polled once per
-// level and aborts between levels, and the barrier callback (SetBarrier)
-// runs once per completed level on the calling goroutine — so checkpoint
-// cadence and deadline overshoot behave exactly as for Eccentricity.
+// and returns per-source eccentricities and farthest witnesses. It honors
+// the engine's traversal contract: the cancellation flag (SetCancel) is
+// polled once per level and aborts between levels, and the barrier
+// callback (SetBarrier) runs once per completed level on the calling
+// goroutine — so checkpoint cadence and deadline overshoot behave exactly
+// as for Eccentricity.
 //
 // Duplicate sources are allowed (their bits travel together). The result
 // slices are engine-owned and valid until the next traversal.
-func (e *Engine) MultiSourceRun(sources []graph.Vertex, wantRows bool) MultiSourceResult {
-	return e.msRun(sources, true, wantRows)
+func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
+	return e.msRun(sources, true)
 }
 
 // msRun is the shared batch core; wantWit gates the per-bit witness
 // extraction so eccentricity-only callers skip its serial pass.
-func (e *Engine) msRun(sources []graph.Vertex, wantWit, wantRows bool) MultiSourceResult {
+func (e *Engine) msRun(sources []graph.Vertex, wantWit bool) MultiSourceResult {
 	if len(sources) > 64 {
 		panic("bfs: MultiSourceRun batch exceeds 64 sources")
 	}
@@ -121,9 +109,6 @@ func (e *Engine) msRun(sources []graph.Vertex, wantWit, wantRows bool) MultiSour
 	e.ensureMS(n)
 	if n == 0 || len(sources) == 0 {
 		return MultiSourceResult{Ecc: ms.ecc[:len(sources)], Witness: ms.wit[:len(sources)]}
-	}
-	if wantRows {
-		e.ensureRows(n)
 	}
 	e.msReset()
 
@@ -137,9 +122,6 @@ func (e *Engine) msRun(sources []graph.Vertex, wantWit, wantRows bool) MultiSour
 		ms.frontier[s] |= 1 << uint(bit)
 		ms.ecc[bit] = 0
 		ms.wit[bit] = s
-		if wantRows {
-			ms.rows[bit][s] = 0
-		}
 	}
 	ms.touched = len(ms.active)
 
@@ -206,35 +188,19 @@ func (e *Engine) msRun(sources []graph.Vertex, wantWit, wantRows bool) MultiSour
 				}
 			}
 		}
-		e.msSwapFrontier(level, wantRows)
+		e.msSwapFrontier()
 		hLevelSeconds.ObserveSince(lvlStart)
 		tr.LevelDone(level, step, len(ms.nextAct), lvlArcs, n-ms.touched, lvlStart)
 		ms.active, ms.nextAct = ms.nextAct, ms.active
 	}
 	e.reached = int64(ms.touched)
 	tr.TraversalEnd(level, e.reached, 0)
-	if wantRows {
-		// Record exactly which row entries this batch wrote, so the next
-		// rows run resets those and nothing else.
-		ms.rowsDirty = append(ms.rowsDirty[:0], ms.dirty...)
-		if cap(ms.rowsBits) < len(ms.dirty) {
-			ms.rowsBits = make([]uint64, len(ms.dirty))
-		}
-		ms.rowsBits = ms.rowsBits[:len(ms.dirty)]
-		for i, v := range ms.dirty {
-			ms.rowsBits[i] = ms.seen[v]
-		}
-	}
-	res := MultiSourceResult{
+	return MultiSourceResult{
 		Ecc:     ms.ecc[:len(sources)],
 		Witness: ms.wit[:len(sources)],
 		Levels:  level,
 		Aborted: e.aborted,
 	}
-	if wantRows {
-		res.Rows = ms.rows[:len(sources)]
-	}
-	return res
 }
 
 // ensureMS sizes the multi-source state for n vertices and the engine's
@@ -259,42 +225,6 @@ func (e *Engine) ensureMS(n int) {
 	for len(ms.dbufs) < e.workers {
 		ms.dbufs = append(ms.dbufs, nil)
 	}
-}
-
-// ensureRows allocates the 64 distance rows on first use (one contiguous
-// backing array) and resets the entries the previous rows run wrote.
-func (e *Engine) ensureRows(n int) {
-	ms := &e.ms
-	if ms.rows == nil {
-		backing := make([]int32, 64*n)
-		e.parForWorker(len(backing), e.workers, 0, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				backing[i] = -1
-			}
-		})
-		ms.rows = make([][]int32, 64)
-		for b := range ms.rows {
-			ms.rows[b] = backing[b*n : (b+1)*n : (b+1)*n]
-		}
-		return
-	}
-	// Reset exactly the (bit, vertex) entries the previous rows run wrote.
-	// rowsDirty vertices are distinct, so the parallel reset is race-free.
-	reset := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := ms.rowsDirty[i]
-			for b := ms.rowsBits[i]; b != 0; b &= b - 1 {
-				ms.rows[bits.TrailingZeros64(b)][v] = -1
-			}
-		}
-	}
-	if e.workers > 1 && len(ms.rowsDirty) >= e.serialCutoff {
-		e.parForWorker(len(ms.rowsDirty), e.workers, 2048, func(_, lo, hi int) { reset(lo, hi) })
-	} else {
-		reset(0, len(ms.rowsDirty))
-	}
-	ms.rowsDirty = ms.rowsDirty[:0]
-	ms.rowsBits = ms.rowsBits[:0]
 }
 
 // msReset zeroes the words the previous batch touched — O(touched), not
@@ -432,14 +362,13 @@ func (e *Engine) msPull() uint64 {
 
 // msSwapFrontier retires the old frontier and installs the new one: clear
 // the old active list's frontier words, then move next into frontier over
-// the new list (zeroing next, restoring the between-level invariant) and
-// fill the distance rows while next is still at hand. Both passes touch
-// distinct vertices, so they parallelize under the pool when large — the
-// commit work runs alongside the gather step's worker team instead of
-// serially.
+// the new list (zeroing next, restoring the between-level invariant). Both
+// passes touch distinct vertices, so they parallelize under the pool when
+// large — the commit work runs alongside the gather step's worker team
+// instead of serially.
 //
 //fdiam:hotpath
-func (e *Engine) msSwapFrontier(level int32, wantRows bool) {
+func (e *Engine) msSwapFrontier() {
 	ms := &e.ms
 	parallel := e.workers > 1 && len(ms.active)+len(ms.nextAct) >= e.serialCutoff
 	clearOld := func(lo, hi int) {
@@ -449,14 +378,8 @@ func (e *Engine) msSwapFrontier(level int32, wantRows bool) {
 	}
 	install := func(lo, hi int) {
 		for _, w := range ms.nextAct[lo:hi] {
-			b := ms.next[w]
-			ms.frontier[w] = b
+			ms.frontier[w] = ms.next[w]
 			ms.next[w] = 0
-			if wantRows {
-				for ; b != 0; b &= b - 1 {
-					ms.rows[bits.TrailingZeros64(b)][w] = level
-				}
-			}
 		}
 	}
 	if parallel {
@@ -492,7 +415,7 @@ func MultiSourceEccentricities(ctx context.Context, g *graph.Graph, sources []gr
 		if len(batch) > 64 {
 			batch = batch[:64]
 		}
-		res := e.msRun(batch, false, false)
+		res := e.msRun(batch, false)
 		copy(eccs[base:], res.Ecc)
 		if res.Aborted {
 			break

@@ -108,7 +108,7 @@ func TestMultiSourceRunWitnessRealizesEcc(t *testing.T) {
 		}
 		e := New(g, 2)
 		sources := collectSources(g, 64)
-		res := e.MultiSourceRun(sources, false)
+		res := e.MultiSourceRun(sources)
 		if res.Aborted {
 			t.Fatalf("%s: unexpected abort", name)
 		}
@@ -127,41 +127,11 @@ func TestMultiSourceRunWitnessRealizesEcc(t *testing.T) {
 	}
 }
 
-func TestMultiSourceRunRows(t *testing.T) {
-	for name, g := range testGraphs() {
-		n := g.NumVertices()
-		if n == 0 {
-			continue
-		}
-		e := New(g, 2)
-		ref := New(g, 1)
-		dist := make([]int32, n)
-		// Two consecutive rows batches through one engine: the second
-		// catches stale entries if the dirty-list reset misses any.
-		for round := 0; round < 2; round++ {
-			sources := collectSources(g, 64)
-			if round == 1 && len(sources) > 3 {
-				sources = sources[1:4]
-			}
-			res := e.MultiSourceRun(sources, true)
-			for i, s := range sources {
-				ref.Distances(s, dist)
-				for v := 0; v < n; v++ {
-					if res.Rows[i][v] != dist[v] {
-						t.Fatalf("%s round %d: row[%d][%d] = %d, want %d",
-							name, round, s, v, res.Rows[i][v], dist[v])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestMultiSourceRunDuplicateSources(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	sources := []graph.Vertex{5, 5, 17, 5}
 	e := New(g, 1)
-	res := e.MultiSourceRun(sources, false)
+	res := e.MultiSourceRun(sources)
 	ref := New(g, 1)
 	for i, s := range sources {
 		if want := ref.Eccentricity(s); res.Ecc[i] != want {
@@ -178,7 +148,7 @@ func TestMultiSourceRunEngineInterleaving(t *testing.T) {
 	ref := New(g, 1)
 	sources := collectSources(g, 64)
 	for round := 0; round < 3; round++ {
-		res := e.MultiSourceRun(sources, false)
+		res := e.MultiSourceRun(sources)
 		for i, s := range sources {
 			if want := ref.Eccentricity(s); res.Ecc[i] != want {
 				t.Fatalf("round %d: MS ecc(%d) = %d, want %d", round, s, res.Ecc[i], want)
@@ -196,7 +166,7 @@ func TestMultiSourceRunCancelImmediate(t *testing.T) {
 	var flag atomic.Bool
 	flag.Store(true)
 	e.SetCancel(&flag)
-	res := e.MultiSourceRun([]graph.Vertex{0, 10, 20}, false)
+	res := e.MultiSourceRun([]graph.Vertex{0, 10, 20})
 	if !res.Aborted || !e.Aborted() {
 		t.Fatal("expected aborted run")
 	}
@@ -222,7 +192,7 @@ func TestMultiSourceRunCancelMidRun(t *testing.T) {
 			flag.Store(true)
 		}
 	})
-	res := e.MultiSourceRun([]graph.Vertex{0}, false)
+	res := e.MultiSourceRun([]graph.Vertex{0})
 	if !res.Aborted {
 		t.Fatal("expected aborted run")
 	}
@@ -241,7 +211,7 @@ func TestMultiSourceRunBarrierPerLevel(t *testing.T) {
 	e := New(g, 1)
 	calls := 0
 	e.SetBarrier(func() { calls++ })
-	res := e.MultiSourceRun([]graph.Vertex{0, 50}, false)
+	res := e.MultiSourceRun([]graph.Vertex{0, 50})
 	// The barrier runs before every expansion round, including the final
 	// round that discovers the frontier is exhausted.
 	if want := int(res.Levels) + 1; calls != want {
@@ -259,18 +229,16 @@ func TestMultiSourceRunPullKernelAgrees(t *testing.T) {
 	for name, g := range graphs {
 		serial := New(g, 1)
 		parallel := New(g, 4)
-		parallel.SetSerialCutoff(0)
+		parallel.setSerialCutoff(0)
 		sources := collectSources(g, 64)
-		a := serial.MultiSourceRun(sources, true)
-		b := parallel.MultiSourceRun(sources, true)
+		a := serial.MultiSourceRun(sources)
+		b := parallel.MultiSourceRun(sources)
+		if a.Levels != b.Levels {
+			t.Fatalf("%s: levels %d vs %d", name, a.Levels, b.Levels)
+		}
 		for i := range sources {
 			if a.Ecc[i] != b.Ecc[i] {
 				t.Fatalf("%s: ecc[%d] %d vs %d", name, i, a.Ecc[i], b.Ecc[i])
-			}
-			for v := 0; v < g.NumVertices(); v++ {
-				if a.Rows[i][v] != b.Rows[i][v] {
-					t.Fatalf("%s: row[%d][%d] %d vs %d", name, i, v, a.Rows[i][v], b.Rows[i][v])
-				}
 			}
 		}
 	}
@@ -283,7 +251,7 @@ func TestMultiSourceRunOversizedBatchPanics(t *testing.T) {
 		}
 	}()
 	g := gen.Path(100)
-	New(g, 1).MultiSourceRun(make([]graph.Vertex, 65), false)
+	New(g, 1).MultiSourceRun(make([]graph.Vertex, 65))
 }
 
 func BenchmarkMultiSource64(b *testing.B) {

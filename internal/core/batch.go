@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fdiam/internal/graph"
-	"fdiam/internal/obs"
 )
 
 // This file implements the MS-BFS batching of the main loop: instead of
@@ -32,37 +31,53 @@ const batchMaxBound = 64
 // worker pool instead of serially (mirrors the engine's serial cutoff).
 const batchEliminateSeedCutoff = 1024
 
+// Cost-model parameters (DESIGN.md §11).
+const (
+	// batchMinActive is the remaining-active-vertex floor below which the
+	// main loop stays single-BFS: with only a handful of survivors left,
+	// the fixed per-batch cost (a traversal that must carry the whole
+	// graph's frontier words) cannot amortize over the few sources that
+	// would fill it.
+	batchMinActive = 16
+
+	// batchMaxPrune is the ceiling on the recent removals-per-evaluation
+	// average (EWMA) above which batching stays off: while each
+	// eccentricity still prunes many vertices, batch sources collected
+	// ahead of time would mostly be discarded.
+	batchMaxPrune = 16.0
+)
+
+// batchMode is the test-only override of the cost model (Options.batch).
+type batchMode uint8
+
+const (
+	batchAuto   batchMode = iota // the cost model decides
+	batchNever                   // every evaluation is a single BFS
+	batchAlways                  // batch whenever an active vertex remains
+)
+
 // batchEligible is the cost model (DESIGN.md §11): batch when enough
 // active vertices remain for a batch to amortize, the recent pruning rate
 // is low (each evaluation mostly just confirms the bound, so sources
 // collected ahead of time survive to commit), and the diameter bound is
 // small enough that the batch's level count stays under the lane count.
-// Force bypasses the model; Disable wins over everything. The EWMA gate
-// doubles as a warm-up: it stays at its -1 sentinel until the first
-// single evaluation seeds it, so every main loop starts unbatched.
+// The EWMA gate doubles as a warm-up: it stays at its -1 sentinel until
+// the first single evaluation seeds it, so every main loop starts
+// unbatched.
 func (s *solver) batchEligible() bool {
-	b := &s.opt.Batch
-	if b.Disable {
+	switch s.opt.batch {
+	case batchNever:
 		return false
-	}
-	if b.Force {
+	case batchAlways:
 		return true
 	}
-	minActive := b.MinActive
-	if minActive < 1 {
-		minActive = DefaultBatchMinActive
-	}
-	maxPrune := b.MaxPrune
-	if maxPrune <= 0 {
-		maxPrune = DefaultBatchMaxPrune
-	}
-	if s.activeRemaining() < int64(minActive) {
+	if s.activeRemaining() < batchMinActive {
 		return false
 	}
 	if s.bound > batchMaxBound {
 		return false
 	}
-	return s.pruneEWMA >= 0 && s.pruneEWMA <= maxPrune
+	return s.pruneEWMA >= 0 && s.pruneEWMA <= batchMaxPrune
 }
 
 // activeRemaining is the main-loop workload measure: vertices neither
@@ -115,12 +130,11 @@ func (s *solver) runBatch(vstart int) bool {
 	hBatchSources.Observe(int64(len(sources)))
 	s.stats.MSBFSBatches++
 	s.stats.MSBFSSources += int64(len(sources))
-	useRows := s.opt.Batch.Rows && !s.opt.DisableEliminate
 
 	s.ck.loopV = vstart
 	tEcc := time.Now()
 	s.ck.armed = true
-	res := s.e.MultiSourceRun(sources, useRows)
+	res := s.e.MultiSourceRun(sources)
 	s.ck.armed = false
 	s.stats.TimeEcc += time.Since(tEcc)
 
@@ -182,11 +196,7 @@ func (s *solver) runBatch(vstart int) bool {
 			}
 		case vecc < s.bound && !s.opt.DisableEliminate:
 			tEl := time.Now()
-			if useRows {
-				s.eliminateFromRow(src, res.Rows[i], vecc, s.bound)
-			} else {
-				s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
-			}
+			s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
 			s.stats.TimeEliminate += time.Since(tEl)
 		}
 		s.notePruning(s.removedTotal() - before)
@@ -201,41 +211,4 @@ func (s *solver) runBatch(vstart int) bool {
 		s.ckptAfterVertex(last + 1)
 	}
 	return true
-}
-
-// eliminateFromRow is eliminateFrom specialized to a precomputed distance
-// row: row[v] = d(src, v) (-1 if unreachable), as returned by the MS-BFS
-// batch that just computed ecc(src) = startVal. It reproduces the partial
-// BFS's write policy and Stats accounting exactly — BFS level sets are
-// contiguous, so the vertices Partial would report across its completed
-// levels are precisely those with 1 ≤ row[v] ≤ limit−startVal — at the
-// cost of one linear scan instead of a ball traversal.
-func (s *solver) eliminateFromRow(src graph.Vertex, row []int32, startVal, limit int32) {
-	if startVal >= limit {
-		return
-	}
-	s.stats.EliminateCalls++
-	if checkedBuild {
-		s.checkEliminateRow(src, row, startVal, limit)
-	}
-	tr := s.opt.Trace
-	if tr != nil {
-		tr.Begin("stage", "eliminate",
-			obs.I("seeds", int64(1)), obs.I("radius", int64(limit-startVal)))
-	}
-	radius := limit - startVal
-	var visited int64
-	for v, k := range row {
-		if k < 1 || k > radius {
-			continue
-		}
-		visited++
-		if s.recordBound(graph.Vertex(v), startVal+k, StageEliminate) {
-			s.stats.RemovedEliminate++
-		}
-	}
-	s.stats.EliminateVisited += visited
-	if tr != nil {
-		tr.End("stage", "eliminate", obs.I("removed_total", s.stats.RemovedEliminate))
-	}
 }

@@ -6,8 +6,8 @@ package core
 // MSBFS_* accounting — across the generator catalog and the option matrix,
 // and it must honor the cancellation and checkpoint/resume contracts of
 // PR 4/5. Under `-tags fdiam.checked` the sweep additionally cross-checks
-// every batch eccentricity and every distance row against independent BFS
-// (the graphs below the checkedDiffMaxN cap).
+// every batch eccentricity against independent BFS (the graphs below the
+// checkedDiffMaxN cap).
 
 import (
 	"context"
@@ -26,8 +26,8 @@ import (
 func batchCatalog() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		// Small entries stay under the checked differential cap so the
-		// fdiam.checked run of this sweep audits batch eccentricities and
-		// distance rows against independent BFS.
+		// fdiam.checked run of this sweep audits batch eccentricities
+		// against independent BFS.
 		"path-small": gen.Path(600),
 		"grid-small": gen.Grid2D(20, 20),
 		"rmat-small": gen.RMAT(9, 8, gen.DefaultRMAT, 21),
@@ -104,15 +104,15 @@ func assertWitnessRealizes(t *testing.T, label string, g *graph.Graph, res Resul
 }
 
 // TestBatchEquivalenceSweep is the acceptance sweep of ISSUE 6: across the
-// catalog, forced batching (with and without distance rows, serial and
-// parallel) must reproduce the unbatched run's result and Stats exactly,
-// and the default cost model must never change the answer.
+// catalog, forced batching (serial and parallel) must reproduce the
+// never-batched run's result and Stats exactly, and the default cost model
+// must never change the answer.
 func TestBatchEquivalenceSweep(t *testing.T) {
 	for name, g := range batchCatalog() {
 		t.Run(name, func(t *testing.T) {
 			var ref1 Result
 			for _, w := range []int{1, 4} {
-				ref := Diameter(g, Options{Workers: w, Batch: BatchOptions{Disable: true}})
+				ref := Diameter(g, Options{Workers: w, batch: batchNever})
 				if w == 1 {
 					ref1 = ref
 				}
@@ -120,14 +120,12 @@ func TestBatchEquivalenceSweep(t *testing.T) {
 					t.Fatalf("workers=%d: disabled batching still ran %d batches",
 						w, ref.Stats.MSBFSBatches)
 				}
-				for _, rows := range []bool{false, true} {
-					label := fmt.Sprintf("workers=%d rows=%v", w, rows)
-					res := Diameter(g, Options{Workers: w, Batch: BatchOptions{Force: true, Rows: rows}})
-					assertBatchEquivalent(t, label, ref, res)
-					assertWitnessRealizes(t, label, g, res)
-				}
+				label := fmt.Sprintf("workers=%d", w)
+				res := Diameter(g, Options{Workers: w, batch: batchAlways})
+				assertBatchEquivalent(t, label, ref, res)
+				assertWitnessRealizes(t, label, g, res)
 			}
-			// The zero-value Batch goes through the cost model: whether or
+			// The default options go through the cost model: whether or
 			// not it decides to batch, the answer must not move.
 			def := Diameter(g, Options{Workers: 4})
 			if def.Diameter != ref1.Diameter || def.Infinite != ref1.Infinite {
@@ -144,7 +142,7 @@ func TestBatchEquivalenceSweep(t *testing.T) {
 // traversals) and every batch source is either committed or discarded.
 func TestBatchAccounting(t *testing.T) {
 	g := gen.Grid2D(40, 40)
-	res := Diameter(g, Options{Workers: 1, Batch: BatchOptions{Force: true}})
+	res := Diameter(g, Options{Workers: 1, batch: batchAlways})
 	if res.Cancelled {
 		t.Fatal("solve cancelled")
 	}
@@ -164,8 +162,8 @@ func TestBatchAccounting(t *testing.T) {
 // TestBatchCostModelGates unit-tests batchEligible's decision table against
 // synthetic solver state.
 func TestBatchCostModelGates(t *testing.T) {
-	eligible := func(opt BatchOptions, active int64, ewma float64, bound int32) bool {
-		s := &solver{opt: Options{Batch: opt}}
+	eligible := func(mode batchMode, active int64, ewma float64, bound int32) bool {
+		s := &solver{opt: Options{batch: mode}}
 		s.stats.Vertices = 100000
 		s.stats.Computed = 100000 - active
 		s.pruneEWMA = ewma
@@ -174,25 +172,23 @@ func TestBatchCostModelGates(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		opt    BatchOptions
+		mode   batchMode
 		active int64
 		ewma   float64
 		bound  int32
 		want   bool
 	}{
-		{"disable-wins-over-force", BatchOptions{Disable: true, Force: true}, 5000, 0, 20, false},
-		{"force-ignores-model", BatchOptions{Force: true}, 1, -1, 500, true},
-		{"all-gates-open", BatchOptions{}, 5000, 2, 20, true},
-		{"too-few-active", BatchOptions{}, DefaultBatchMinActive - 1, 2, 20, false},
-		{"no-prune-data-yet", BatchOptions{}, 5000, -1, 20, false},
-		{"pruning-too-hot", BatchOptions{}, 5000, DefaultBatchMaxPrune + 1, 20, false},
-		{"bound-too-high", BatchOptions{}, 5000, 2, batchMaxBound + 1, false},
-		{"bound-at-cap", BatchOptions{}, 5000, 2, batchMaxBound, true},
-		{"min-active-override", BatchOptions{MinActive: 5}, 8, 2, 20, true},
-		{"max-prune-override", BatchOptions{MaxPrune: 100}, 5000, 50, 20, true},
+		{"never-ignores-model", batchNever, 5000, 2, 20, false},
+		{"always-ignores-model", batchAlways, 1, -1, 500, true},
+		{"all-gates-open", batchAuto, 5000, 2, 20, true},
+		{"too-few-active", batchAuto, batchMinActive - 1, 2, 20, false},
+		{"no-prune-data-yet", batchAuto, 5000, -1, 20, false},
+		{"pruning-too-hot", batchAuto, 5000, batchMaxPrune + 1, 20, false},
+		{"bound-too-high", batchAuto, 5000, 2, batchMaxBound + 1, false},
+		{"bound-at-cap", batchAuto, 5000, 2, batchMaxBound, true},
 	}
 	for _, c := range cases {
-		if got := eligible(c.opt, c.active, c.ewma, c.bound); got != c.want {
+		if got := eligible(c.mode, c.active, c.ewma, c.bound); got != c.want {
 			t.Errorf("%s: batchEligible = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -212,7 +208,7 @@ func interruptBatchedMidMainLoop(t *testing.T, g *graph.Graph, dir string) Resul
 		go func() {
 			done <- DiameterCtx(ctx, g, Options{
 				Workers:    1,
-				Batch:      BatchOptions{Force: true},
+				batch:      batchAlways,
 				Checkpoint: CheckpointOptions{Dir: dir, Interval: 1},
 			})
 		}()
@@ -243,7 +239,7 @@ func interruptBatchedMidMainLoop(t *testing.T, g *graph.Graph, dir string) Resul
 // unbatched — to the exact diameter.
 func TestBatchCancellationMidBatch(t *testing.T) {
 	g := gen.Grid2D(120, 120)
-	fresh := Diameter(g, Options{Workers: 1, Batch: BatchOptions{Disable: true}})
+	fresh := Diameter(g, Options{Workers: 1, batch: batchNever})
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, checkpoint.FileName)
@@ -263,15 +259,15 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 	// no batching state, so either mode must complete it exactly.
 	for _, mode := range []struct {
 		name  string
-		batch BatchOptions
+		batch batchMode
 	}{
-		{"resume-batched", BatchOptions{Force: true}},
-		{"resume-unbatched", BatchOptions{Disable: true}},
+		{"resume-batched", batchAlways},
+		{"resume-unbatched", batchNever},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			res := Diameter(g, Options{
 				Workers:    1,
-				Batch:      mode.batch,
+				batch:      mode.batch,
 				Checkpoint: CheckpointOptions{ResumeFrom: path},
 			})
 			if !res.Resumed {
@@ -293,14 +289,14 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 // legacy (unbatched) solve and finish it with batching forced on.
 func TestBatchResumeFromUnbatchedSnapshot(t *testing.T) {
 	g := gen.Grid2D(120, 120)
-	fresh := Diameter(g, Options{Workers: 1, Batch: BatchOptions{Disable: true}})
+	fresh := Diameter(g, Options{Workers: 1, batch: batchNever})
 
 	dir := t.TempDir()
 	interruptMidMainLoop(t, g, dir)
 	path := filepath.Join(dir, checkpoint.FileName)
 	res := Diameter(g, Options{
 		Workers:    1,
-		Batch:      BatchOptions{Force: true},
+		batch:      batchAlways,
 		Checkpoint: CheckpointOptions{Dir: dir, Interval: 1, ResumeFrom: path},
 	})
 	if !res.Resumed {
@@ -324,7 +320,7 @@ func TestBatchTimeoutLowerBound(t *testing.T) {
 	for _, timeout := range []time.Duration{time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond} {
 		res := Diameter(g, Options{
 			Workers: 1,
-			Batch:   BatchOptions{Force: true},
+			batch:   batchAlways,
 			Timeout: timeout,
 		})
 		if res.Cancelled {

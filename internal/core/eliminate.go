@@ -97,10 +97,7 @@ func (s *solver) extendEliminated(old int32) {
 		}
 	}
 	// Large seed rings expand under the worker pool: the extension pass is
-	// the one Eliminate whose worklists are not typically tiny. Gated on
-	// the batch knob so Batch.Disable reproduces the fully-serial legacy
-	// behavior for A/B runs.
-	parallel := !s.opt.Batch.Disable && s.e.Workers() > 1 &&
-		len(seeds) >= batchEliminateSeedCutoff
+	// the one Eliminate whose worklists are not typically tiny.
+	parallel := s.e.Workers() > 1 && len(seeds) >= batchEliminateSeedCutoff
 	s.eliminateFromPar(seeds, old, s.bound, StageEliminate, parallel)
 }

@@ -161,7 +161,6 @@ func newSolver(g *graph.Graph, opt Options) *solver {
 	}
 	e := bfs.New(g, workers)
 	e.SetDirectionOptimized(!opt.DisableDirectionOpt)
-	e.SetAlphaBeta(opt.BFSAlpha, opt.BFSBeta)
 	e.SetTracer(opt.Trace)
 	s := &solver{
 		g:   g,

@@ -339,15 +339,6 @@ func TestStageString(t *testing.T) {
 	}
 }
 
-func TestOptionPresets(t *testing.T) {
-	if Serial().Workers != 1 {
-		t.Error("Serial preset wrong")
-	}
-	if Parallel().Workers != 0 {
-		t.Error("Parallel preset wrong")
-	}
-}
-
 func TestChainHeavyShapes(t *testing.T) {
 	// Shapes engineered so chains interact: shared hubs, chains meeting
 	// chains, whisker trees.

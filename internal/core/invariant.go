@@ -194,29 +194,6 @@ func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32) {
 	}
 }
 
-// checkEliminateRow validates a row-based elimination (batch.go): the radius
-// must stay within the current bound (Theorem 1's precondition, as in
-// checkEliminatePre) and the distance row handed over by the MS-BFS batch
-// must match an independent BFS from the source exactly — the row replaces
-// the per-level frontier audit, so it carries the whole soundness burden.
-func (s *solver) checkEliminateRow(src graph.Vertex, row []int32, startVal, limit int32) {
-	if limit > s.bound {
-		violate("eliminate-radius",
-			"row elimination limit %d exceeds current bound %d", limit, s.bound)
-	}
-	if len(s.ecc) > checkedDiffMaxN {
-		return
-	}
-	dist := s.checkedDistances([]graph.Vertex{src})
-	for v := range dist {
-		if row[v] != dist[v] {
-			violate("eliminate-row",
-				"source %d: row[%d] = %d but independent BFS says dist %d",
-				src, v, row[v], dist[v])
-		}
-	}
-}
-
 // checkComputeTarget asserts the main loop and 2-sweep only compute
 // eccentricities of vertices still under consideration.
 func (s *solver) checkComputeTarget(v graph.Vertex) {

@@ -22,8 +22,6 @@ func (s *solver) checkRecord(v graph.Vertex, cur, val int32) {}
 
 func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32) {}
 
-func (s *solver) checkEliminateRow(src graph.Vertex, row []int32, startVal, limit int32) {}
-
 func (s *solver) checkComputeTarget(v graph.Vertex) {}
 
 func (s *solver) checkStateConsistency(where string) {}

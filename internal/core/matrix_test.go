@@ -56,16 +56,3 @@ func TestDiameterMatrixWorkersDirOpt(t *testing.T) {
 		})
 	}
 }
-
-// Custom α/β must pass through Options to the substrate without changing
-// results, including the extremes tests use to force each kernel.
-func TestDiameterAlphaBetaPassthrough(t *testing.T) {
-	g := gen.RMAT(10, 10, gen.DefaultRMAT, 19)
-	want := Diameter(g, Options{Workers: 1}).Diameter
-	for _, ab := range [][2]int{{1, 1}, {2, 8}, {14, 24}, {1 << 20, 1 << 20}} {
-		got := Diameter(g, Options{Workers: 1, BFSAlpha: ab[0], BFSBeta: ab[1]})
-		if got.Diameter != want {
-			t.Errorf("alpha=%d beta=%d: diameter = %d, want %d", ab[0], ab[1], got.Diameter, want)
-		}
-	}
-}

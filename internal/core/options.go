@@ -37,26 +37,6 @@ type Options struct {
 	// measuring how much the hybrid contributes.
 	DisableDirectionOpt bool
 
-	// BFSAlpha and BFSBeta tune the Beamer-style direction heuristic of
-	// the BFS substrate: the hybrid goes bottom-up when its modeled
-	// bottom-up cost is below alpha times the top-down cost (the
-	// frontier's outgoing-arc count), and returns top-down when the
-	// frontier shrinks below n/beta vertices. Zero (or negative) selects
-	// the defaults (bfs.DefaultAlpha, bfs.DefaultBeta). The bench harness
-	// sweeps these to validate the defaults per topology class.
-	BFSAlpha int
-	BFSBeta  int
-
-	// Batch configures the bit-parallel MS-BFS batching of the main loop:
-	// when the cost model says batching pays, the solver evaluates up to
-	// 64 remaining active vertices with one multi-source traversal
-	// instead of 64 direction-optimized BFS. The zero value enables
-	// batching under the default cost model. Batching never changes the
-	// result: batch sources are committed in index order and a source
-	// that an earlier commit's pruning removed is discarded, so the state
-	// evolution is identical to the unbatched loop.
-	Batch BatchOptions
-
 	// Trace attaches an observability run: the solver emits
 	// run/stage/traversal/level spans, bound-improvement instants, and
 	// live progress (stage, bound, active vertices) to it, and the BFS
@@ -96,53 +76,11 @@ type Options struct {
 	// Result; Diameter then holds the best lower bound found so far,
 	// mirroring the paper's "T/O" entries.
 	Timeout time.Duration
-}
 
-// Default batch cost-model parameters (see BatchOptions).
-const (
-	// DefaultBatchMinActive is the remaining-active-vertex floor below
-	// which the main loop stays single-BFS: with only a handful of
-	// survivors left, the fixed per-batch cost (a traversal that must
-	// carry the whole graph's frontier words) cannot amortize over the
-	// few sources that would fill it.
-	DefaultBatchMinActive = 16
-
-	// DefaultBatchMaxPrune is the ceiling on the recent removals-per-
-	// evaluation average (EWMA) above which batching stays off: while
-	// each eccentricity still prunes many vertices, batch sources
-	// collected ahead of time would mostly be discarded.
-	DefaultBatchMaxPrune = 16.0
-)
-
-// BatchOptions configures the MS-BFS batching of the solver's main loop.
-// The zero value enables batching gated by the default cost model; see the
-// field docs for the knobs and DESIGN.md §11 for the model.
-type BatchOptions struct {
-	// Disable turns batching off entirely: the main loop evaluates every
-	// surviving vertex with its own direction-optimized BFS (the pre-
-	// batching behavior, and the "legacy" side of BENCH_pr6).
-	Disable bool
-
-	// Force bypasses the cost model and batches whenever at least one
-	// active vertex remains. Intended for tests and benchmarks that must
-	// exercise the batched path deterministically; production runs should
-	// rely on the cost model.
-	Force bool
-
-	// MinActive overrides the remaining-active floor of the cost model
-	// (values < 1 select DefaultBatchMinActive).
-	MinActive int
-
-	// MaxPrune overrides the pruning-EWMA ceiling of the cost model
-	// (values <= 0 select DefaultBatchMaxPrune).
-	MaxPrune float64
-
-	// Rows requests per-source distance rows from each batch and uses
-	// them for the below-bound eliminations of committed sources, which
-	// replaces each such Eliminate partial BFS by one linear scan over
-	// the distance row. Worth it when eliminate radii are large (the
-	// scan is O(n) regardless of the ball size); off by default.
-	Rows bool
+	// batch overrides the batching cost model (batch.go). Only this
+	// package's tests set it, to compare forced batching against never
+	// batching; the zero value leaves every decision to the cost model.
+	batch batchMode
 }
 
 // ApproxOptions configures the sampled approximation mode: Sweeps double
@@ -195,10 +133,3 @@ type CheckpointOptions struct {
 	// the reason reported in Result.ResumeError. Empty starts fresh.
 	ResumeFrom string
 }
-
-// Serial returns options for the serial F-Diam variant.
-func Serial() Options { return Options{Workers: 1} }
-
-// Parallel returns options for the parallel F-Diam variant with default
-// parallelism.
-func Parallel() Options { return Options{} }

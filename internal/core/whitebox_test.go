@@ -5,6 +5,7 @@ package core
 // end-to-end diameter.
 
 import (
+	"slices"
 	"testing"
 
 	"fdiam/internal/ecc"
@@ -280,6 +281,57 @@ func TestExtendEliminatedGrowsRegions(t *testing.T) {
 	}
 	if s.ecc[7] != 11 || s.ecc[6] != 12 {
 		t.Errorf("extension values wrong: %v", s.ecc[4:17])
+	}
+}
+
+// TestExtendEliminatedParallelMatchesSerial pins the parallel expansion of
+// the multi-source extension pass against the serial one on a seed ring
+// large enough for extendEliminated to pick the parallel path: identical
+// recorded bounds, outermost ring, level count and Eliminate counters.
+func TestExtendEliminatedParallelMatchesSerial(t *testing.T) {
+	const cols, rows = 40, 1100
+	g := gen.Grid2D(cols, rows) // vertex y*cols + x
+	run := func(parallel bool) (*solver, []graph.Vertex, int32) {
+		s := prepSolver(g, Options{Workers: 2})
+		s.bound = 10
+		// An eliminated region two columns wide along the left edge: its
+		// outermost ring, column 2, records the old bound 10.
+		col0 := make([]graph.Vertex, rows)
+		for y := range col0 {
+			col0[y] = graph.Vertex(y * cols)
+			s.setComputed(col0[y], 8)
+		}
+		s.eliminateFrom(col0, 8, 10, StageEliminate)
+		s.bound = 16
+		var seeds []graph.Vertex
+		for v := range s.ecc {
+			if s.ecc[v] == 10 {
+				seeds = append(seeds, graph.Vertex(v))
+			}
+		}
+		if len(seeds) != rows || len(seeds) < batchEliminateSeedCutoff {
+			t.Fatalf("ring has %d seeds, want %d (≥ %d)", len(seeds), rows, batchEliminateSeedCutoff)
+		}
+		ring, levels := s.eliminateFromPar(seeds, 10, s.bound, StageEliminate, parallel)
+		slices.Sort(ring)
+		return s, ring, levels
+	}
+	ser, serRing, serLevels := run(false)
+	pll, parRing, parLevels := run(true)
+	if !slices.Equal(ser.ecc, pll.ecc) {
+		t.Error("recorded bounds differ between serial and parallel expansion")
+	}
+	if !slices.Equal(serRing, parRing) || len(serRing) != rows {
+		t.Errorf("rings differ: serial %d vertices, parallel %d, want %d", len(serRing), len(parRing), rows)
+	}
+	if serLevels != parLevels || serLevels != 6 {
+		t.Errorf("levels: serial %d, parallel %d, want 6", serLevels, parLevels)
+	}
+	if ser.stats.RemovedEliminate != pll.stats.RemovedEliminate {
+		t.Errorf("RemovedEliminate: serial %d, parallel %d", ser.stats.RemovedEliminate, pll.stats.RemovedEliminate)
+	}
+	if ser.stats.EliminateVisited != pll.stats.EliminateVisited {
+		t.Errorf("EliminateVisited: serial %d, parallel %d", ser.stats.EliminateVisited, pll.stats.EliminateVisited)
 	}
 }
 
