@@ -5,10 +5,11 @@
 //
 //	fdiam [flags] <graph-file>
 //
-// The input format is auto-detected: fdiam binary CSR, Matrix Market
-// (SuiteSparse), DIMACS sp (USA-road-d), or a plain whitespace edge list
-// (SNAP). Disconnected inputs are flagged and the largest eccentricity over
-// all components is reported, matching the paper's convention.
+// ".metis"/".graph" files are read as METIS; every other input format is
+// auto-detected: fdiam binary CSR, Matrix Market (SuiteSparse), DIMACS sp
+// (USA-road-d), or a plain whitespace edge list (SNAP). Disconnected inputs
+// are flagged and the largest eccentricity over all components is reported,
+// matching the paper's convention.
 //
 // Examples:
 //
@@ -188,11 +189,7 @@ func run(args []string, out io.Writer) (int, error) {
 		}()
 	}
 
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return exitError, err
-	}
-	g, err := graphio.ReadAuto(data)
+	g, err := graphio.ReadFile(fs.Arg(0))
 	if err != nil {
 		return exitError, err
 	}

@@ -251,6 +251,22 @@ func TestRunDisconnectedReportsInfinite(t *testing.T) {
 	}
 }
 
+// A METIS header reads as an edge list, so the extension must select the
+// parser: sniffed, this 10-cycle came back as a disconnected 11-vertex graph.
+func TestRunReadsMETISByExtension(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.metis")
+	if err := graphio.WriteFile(path, gen.Cycle(10)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := run([]string{path}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "diameter: 5") || strings.Contains(buf.String(), "infinite") {
+		t.Errorf("METIS 10-cycle: %q, want diameter 5", buf.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := run([]string{}, &buf); err == nil {

@@ -9,7 +9,7 @@
 //	graphgen -kind catalog -name rmat16.sym -o standin.bin
 //
 // Output format follows the file extension: .bin (binary CSR), .mtx
-// (Matrix Market), .gr (DIMACS), otherwise edge list.
+// (Matrix Market), .gr (DIMACS), .metis/.graph (METIS), otherwise edge list.
 package main
 
 import (
@@ -106,27 +106,5 @@ func run(args []string, out io.Writer) error {
 		stats.FormatCount(int64(s.Vertices)), stats.FormatCount(s.Arcs/2),
 		s.AvgDegree, s.MaxDegree, s.Components)
 
-	f, err := os.Create(*outPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch {
-	case hasSuffix(*outPath, ".bin"):
-		err = graphio.WriteBinary(f, g)
-	case hasSuffix(*outPath, ".mtx"):
-		err = graphio.WriteMatrixMarket(f, g)
-	case hasSuffix(*outPath, ".gr"):
-		err = graphio.WriteDIMACS(f, g)
-	default:
-		err = graphio.WriteEdgeList(f, g)
-	}
-	if err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
+	return graphio.WriteFile(*outPath, g)
 }

@@ -50,17 +50,13 @@ func TestGenerateEveryKind(t *testing.T) {
 
 func TestGenerateFormats(t *testing.T) {
 	dir := t.TempDir()
-	for _, ext := range []string{".txt", ".bin", ".mtx", ".gr"} {
+	for _, ext := range []string{".txt", ".bin", ".mtx", ".gr", ".metis"} {
 		out := filepath.Join(dir, "g"+ext)
 		var buf bytes.Buffer
 		if err := run([]string{"-kind", "grid", "-w", "5", "-h", "5", "-o", out}, &buf); err != nil {
 			t.Fatalf("%s: %v", ext, err)
 		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := graphio.ReadAuto(data)
+		g, err := graphio.ReadFile(out)
 		if err != nil {
 			t.Fatalf("%s: re-read: %v", ext, err)
 		}

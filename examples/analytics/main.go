@@ -24,9 +24,8 @@ func main() {
 	fmt.Printf("network: %d vertices, %d edges, avg degree %.1f\n\n", s.Vertices, s.Arcs/2, s.AvgDegree)
 
 	start := time.Now()
-	eccs, traversals := fdiam.AllEccentricities(g, 0)
+	info := fdiam.AnalyzeNetwork(g, 0)
 	elapsed := time.Since(start)
-	info := summarize(eccs)
 
 	fmt.Printf("eccentricity distribution computed in %v\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  diameter:  %d (realized by %d periphery vertices)\n", info.Diameter, len(info.Periphery))
@@ -52,35 +51,13 @@ func main() {
 
 	// Compare traversal budgets: bounding vs brute force.
 	fmt.Printf("\nBFS traversals used: %d (brute force would use %d — %.1fx saved)\n",
-		traversals, s.Vertices, float64(s.Vertices)/float64(traversals))
+		info.BFSTraversals, s.Vertices, float64(s.Vertices)/float64(info.BFSTraversals))
 
 	// And the diameter-only question, for perspective: F-Diam needs far
 	// fewer still, because it never has to resolve per-vertex values.
 	res := fdiam.Diameter(g)
 	fmt.Printf("diameter-only (F-Diam): %d traversals — the diameter is much cheaper than the distribution\n",
 		res.Stats.BFSTraversals())
-}
-
-// summarize derives the NetworkInfo fields from raw eccentricities.
-func summarize(eccs []int32) fdiam.NetworkInfo {
-	info := fdiam.NetworkInfo{Eccs: eccs, Radius: 1 << 30}
-	for _, e := range eccs {
-		if e > info.Diameter {
-			info.Diameter = e
-		}
-		if e > 0 && e < info.Radius {
-			info.Radius = e
-		}
-	}
-	for v, e := range eccs {
-		if e == info.Diameter {
-			info.Periphery = append(info.Periphery, fdiam.Vertex(v))
-		}
-		if e == info.Radius {
-			info.Center = append(info.Center, fdiam.Vertex(v))
-		}
-	}
-	return info
 }
 
 func stars(n int) string {

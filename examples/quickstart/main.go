@@ -46,11 +46,11 @@ func main() {
 
 	// Cross-check against the brute-force O(nm) reference and the radius.
 	naive := fdiam.DiameterNaive(g, fdiam.BaselineOptions{})
-	radius, center := fdiam.RadiusAndCenter(g, 0)
+	info := fdiam.AnalyzeNetwork(g, 0)
 	fmt.Printf("brute-force check: %d (%d BFS traversals vs F-Diam's %d)\n",
 		naive.Diameter, naive.BFSTraversals, s.BFSTraversals())
-	fmt.Printf("radius: %d, center vertices: ", radius)
-	for _, c := range center {
+	fmt.Printf("radius: %d, center vertices: ", info.Radius)
+	for _, c := range info.Center {
 		fmt.Printf("%s ", names[c])
 	}
 	fmt.Println()

@@ -1,13 +1,72 @@
 package fdiam
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"fdiam/internal/gen"
+	"fdiam/internal/graphio"
 )
+
+// TestFacadeSurface pins the exported names of package fdiam. The facade
+// serves the examples and external callers; a new re-export must be added
+// to this list deliberately.
+func TestFacadeSurface(t *testing.T) {
+	want := []string{
+		// functions
+		"AnalyzeNetwork", "ComputeGraphStats", "Diameter", "DiameterBounding",
+		"DiameterCtx", "DiameterIFUB", "DiameterNaive", "DiameterWithOptions",
+		"LoadFile", "NewBuilder", "NewRMAT", "NewRoadNetwork", "NewSocialNetwork",
+		// types
+		"BaselineOptions", "BaselineResult", "Builder", "CheckpointOptions",
+		"Edge", "Graph", "GraphStats", "NetworkInfo", "Options", "Result",
+		"Stats", "Vertex",
+	}
+	slices.Sort(want)
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs["fdiam"].Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							got = append(got, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							if n.IsExported() {
+								got = append(got, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("exported names:\n got %v\nwant %v", got, want)
+	}
+}
 
 func TestQuickstartShape(t *testing.T) {
 	b := NewBuilder(4)
@@ -21,10 +80,13 @@ func TestQuickstartShape(t *testing.T) {
 }
 
 func TestPublicDiameterAgreesWithBaselines(t *testing.T) {
-	g := NewRandomConnected(800, 600, 3)
+	g := gen.RandomConnected(800, 600, 3)
 	want := Diameter(g).Diameter
 	if got := DiameterWithOptions(g, Options{Workers: 1}).Diameter; got != want {
 		t.Errorf("serial: %d, want %d", got, want)
+	}
+	if got := DiameterCtx(context.Background(), g, Options{}).Diameter; got != want {
+		t.Errorf("ctx: %d, want %d", got, want)
 	}
 	if got := DiameterIFUB(g, BaselineOptions{}).Diameter; got != want {
 		t.Errorf("ifub: %d, want %d", got, want)
@@ -32,27 +94,21 @@ func TestPublicDiameterAgreesWithBaselines(t *testing.T) {
 	if got := DiameterBounding(g, BaselineOptions{}).Diameter; got != want {
 		t.Errorf("bounding: %d, want %d", got, want)
 	}
-	if got := DiameterKorf(g, BaselineOptions{}).Diameter; got != want {
-		t.Errorf("korf: %d, want %d", got, want)
-	}
 	if got := DiameterNaive(g, BaselineOptions{}).Diameter; got != want {
 		t.Errorf("naive: %d, want %d", got, want)
 	}
 }
 
 func TestEccentricityHelpers(t *testing.T) {
-	g := NewPath(7)
-	eccs := Eccentricities(g, 0)
-	if eccs[0] != 6 || eccs[3] != 3 {
-		t.Fatalf("eccs = %v", eccs)
+	info := AnalyzeNetwork(gen.Path(7), 0)
+	if info.Eccs[0] != 6 || info.Eccs[3] != 3 {
+		t.Fatalf("eccs = %v", info.Eccs)
 	}
-	r, center := RadiusAndCenter(g, 0)
-	if r != 3 || len(center) != 1 || center[0] != 3 {
-		t.Fatalf("radius=%d center=%v", r, center)
+	if info.Radius != 3 || len(info.Center) != 1 || info.Center[0] != 3 {
+		t.Fatalf("radius=%d center=%v", info.Radius, info.Center)
 	}
-	p := Periphery(g, 0)
-	if len(p) != 2 {
-		t.Fatalf("periphery = %v", p)
+	if len(info.Periphery) != 2 {
+		t.Fatalf("periphery = %v", info.Periphery)
 	}
 }
 
@@ -61,54 +117,47 @@ func TestComponentsHelpers(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 4)
-	g := b.Build()
-	cc := ConnectedComponents(g)
-	if cc.Count != 3 { // {0,1}, {2,3,4}, {5}
-		t.Fatalf("components = %d", cc.Count)
-	}
-	lc, orig := LargestComponent(g)
-	if lc.NumVertices() != 3 || len(orig) != 3 {
-		t.Fatalf("largest component n=%d", lc.NumVertices())
-	}
-	s := ComputeGraphStats(g)
-	if s.Degree0 != 1 || s.Components != 3 {
+	s := ComputeGraphStats(b.Build())
+	if s.Degree0 != 1 || s.Components != 3 { // {0,1}, {2,3,4}, {5}
 		t.Fatalf("stats %+v", s)
 	}
 }
 
 func TestGeneratorsExposeExpectedShapes(t *testing.T) {
-	if d := Diameter(NewGrid2D(6, 6)).Diameter; d != 10 {
+	if d := Diameter(gen.Grid2D(6, 6)).Diameter; d != 10 {
 		t.Errorf("grid diameter %d, want 10", d)
 	}
-	if d := Diameter(NewPath(20)).Diameter; d != 19 {
+	if d := Diameter(gen.Path(20)).Diameter; d != 19 {
 		t.Errorf("path diameter %d, want 19", d)
 	}
-	if d := Diameter(NewCycle(12)).Diameter; d != 6 {
+	if d := Diameter(gen.Cycle(12)).Diameter; d != 6 {
 		t.Errorf("cycle diameter %d, want 6", d)
 	}
 	if g := NewRMAT(8, 6, 1); g.NumVertices() != 256 {
 		t.Errorf("rmat n = %d", g.NumVertices())
 	}
-	if g := NewKronecker(8, 6, 1); g.NumVertices() != 256 {
-		t.Errorf("kron n = %d", g.NumVertices())
+	if g := NewSocialNetwork(500, 3, 0.2, 4, 1); g.NumVertices() != 500 {
+		t.Errorf("social n = %d", g.NumVertices())
 	}
-	if g := NewBarabasiAlbert(100, 3, 1); g.NumVertices() != 100 {
-		t.Errorf("ba n = %d", g.NumVertices())
-	}
-	if g := NewTriangularGrid(5, 5); g.NumVertices() != 25 {
-		t.Errorf("trigrid n = %d", g.NumVertices())
-	}
-	if g := NewRoadNetwork(10, 10, 0.2, 1); !ConnectedComponents(g).IsConnected() {
-		t.Error("road network disconnected")
+	if s := ComputeGraphStats(NewRoadNetwork(10, 10, 0.2, 1)); s.Components != 1 {
+		t.Errorf("road network has %d components", s.Components)
 	}
 }
 
+func TestLoadFileMissing(t *testing.T) {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
+		t.Error("expected error for missing file")
+	}
+}
+
+// LoadFile must read back every format graphio.WriteFile picks by
+// extension, with the same structure.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	g := NewRandomConnected(60, 40, 9)
+	g := gen.RandomConnected(60, 40, 9)
 	for _, name := range []string{"g.txt", "g.bin", "g.mtx", "g.gr"} {
 		path := filepath.Join(dir, name)
-		if err := SaveFile(path, g); err != nil {
+		if err := graphio.WriteFile(path, g); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
 		got, err := LoadFile(path)
@@ -124,81 +173,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("expected error for missing file")
-	}
-}
-
-func TestSaveFileBadPath(t *testing.T) {
-	if err := SaveFile(filepath.Join(t.TempDir(), "no", "such", "dir", "g.txt"), NewPath(3)); err == nil {
-		t.Error("expected error for unwritable path")
-	}
-	_ = os.ErrNotExist
-}
-
-func TestResultStatsExposed(t *testing.T) {
-	g := NewBarabasiAlbert(3000, 4, 5)
-	res := Diameter(g)
-	if res.Stats.BFSTraversals() <= 0 {
-		t.Error("stats not populated")
-	}
-	if res.Stats.PctWinnow() <= 0 {
-		t.Error("winnow percentage missing")
-	}
-}
-
-func TestFromEdges(t *testing.T) {
-	g := FromEdges(3, []Edge{{A: 0, B: 1}, {A: 1, B: 2}})
-	if Diameter(g).Diameter != 2 {
-		t.Error("FromEdges broken")
-	}
-}
-
-func TestExtensionBaselines(t *testing.T) {
-	g := NewRandomConnected(400, 300, 11)
-	want := Diameter(g).Diameter
-	if got := DiameterTakesKosters(g, BaselineOptions{}).Diameter; got != want {
-		t.Errorf("takes-kosters: %d, want %d", got, want)
-	}
-	if got := DiameterVertexCentric(g, BaselineOptions{}).Diameter; got != want {
-		t.Errorf("vertex-centric: %d, want %d", got, want)
-	}
-}
-
-func TestAnalyzeNetwork(t *testing.T) {
-	g := NewPath(9)
-	info := AnalyzeNetwork(g, 0)
-	if info.Diameter != 8 || info.Radius != 4 {
-		t.Fatalf("info: %+v", info)
-	}
-	if len(info.Center) != 1 || info.Center[0] != 4 {
-		t.Fatalf("center: %v", info.Center)
-	}
-	eccs, traversals := AllEccentricities(g, 0)
-	if len(eccs) != 9 || eccs[0] != 8 || traversals < 1 {
-		t.Fatalf("eccs=%v traversals=%d", eccs, traversals)
-	}
-}
-
-func TestReorderingPreservesDiameter(t *testing.T) {
-	g := NewSocialNetwork(2000, 4, 0.2, 6, 13)
-	want := Diameter(g).Diameter
-	for _, r := range []*Graph{ReorderBFS(g), ReorderByDegree(g)} {
-		if got := Diameter(r).Diameter; got != want {
-			t.Errorf("reordered diameter %d, want %d", got, want)
-		}
-		if r.NumArcs() != g.NumArcs() {
-			t.Error("reordering changed the edge count")
-		}
-	}
-}
-
 func TestMETISSaveLoad(t *testing.T) {
 	dir := t.TempDir()
-	g := NewRandomConnected(50, 30, 4)
+	g := gen.RandomConnected(50, 30, 4)
 	path := filepath.Join(dir, "g.metis")
-	if err := SaveFile(path, g); err != nil {
+	if err := graphio.WriteFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadFile(path)
@@ -210,53 +189,30 @@ func TestMETISSaveLoad(t *testing.T) {
 	}
 }
 
-func TestFloydWarshallAndApproxPublicAPI(t *testing.T) {
-	g := NewRandomConnected(300, 200, 17)
-	want := Diameter(g).Diameter
-	if got := DiameterFloydWarshall(g, BaselineOptions{}).Diameter; got != want {
-		t.Errorf("floyd-warshall: %d, want %d", got, want)
+func TestResultStatsExposed(t *testing.T) {
+	g := gen.BarabasiAlbert(3000, 4, 5)
+	res := Diameter(g)
+	if res.Stats.BFSTraversals() <= 0 {
+		t.Error("stats not populated")
 	}
-	est := EstimateDiameter(g, 0, 1)
-	if est > want || est < 2*want/3 {
-		t.Errorf("estimate %d outside [2D/3, D] for D=%d", est, want)
+	if res.Stats.PctWinnow() <= 0 {
+		t.Error("winnow percentage missing")
 	}
 }
 
-func TestObservabilityFacade(t *testing.T) {
-	srv, err := ServeObservability("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// AnalyzeNetwork takes radius, center and periphery from the largest
+// component only: a stray edge or isolated vertex must not become the
+// "center".
+func TestAnalyzeNetwork(t *testing.T) {
+	g := gen.Disjoint(gen.Path(9), gen.Disjoint(gen.Path(2), NewBuilder(1).Build()))
+	info := AnalyzeNetwork(g, 0)
+	if info.Diameter != 8 || info.Radius != 4 {
+		t.Fatalf("info: %+v", info)
 	}
-	defer srv.Close()
-
-	var trace bytes.Buffer
-	run := NewTraceRun(TraceConfig{ChromeTrace: &trace})
-	if CurrentTraceRun() != run {
-		t.Error("NewTraceRun did not install the current run")
+	if len(info.Center) != 1 || info.Center[0] != 4 {
+		t.Fatalf("center: %v", info.Center)
 	}
-	res := DiameterWithOptions(NewGrid2D(8, 8), Options{Trace: run})
-	if err := run.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if res.Diameter != 14 {
-		t.Fatalf("traced diameter = %d, want 14", res.Diameter)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal(trace.Bytes(), &evs); err != nil {
-		t.Fatalf("facade trace not a JSON array: %v", err)
-	}
-	if len(evs) == 0 {
-		t.Error("facade trace is empty")
-	}
-	var snap RunSnapshot = run.Snapshot()
-	if snap.State != "done" || snap.Bound != 14 {
-		t.Errorf("snapshot = %+v, want done/14", snap)
-	}
-	var metrics bytes.Buffer
-	if err := DefaultMetrics().WriteText(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(metrics.String(), "fdiam_bfs_traversals_total") {
-		t.Error("default metrics missing fdiam_bfs_traversals_total")
+	if len(info.Eccs) != 12 || info.BFSTraversals < 1 || info.Truncated {
+		t.Fatalf("eccs=%v traversals=%d truncated=%v", info.Eccs, info.BFSTraversals, info.Truncated)
 	}
 }

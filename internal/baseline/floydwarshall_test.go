@@ -66,64 +66,6 @@ func TestFloydWarshallTimeout(t *testing.T) {
 	}
 }
 
-func TestRodittyWilliamsIsValidLowerBound(t *testing.T) {
-	for seed := uint64(0); seed < 12; seed++ {
-		g := gen.RandomConnected(120+int(seed*31)%200, int(seed*7)%120, seed+40)
-		d := ecc.Diameter(g, 0)
-		res := RodittyWilliams(g, 0, seed, Options{})
-		if res.Estimate > d {
-			t.Errorf("seed %d: estimate %d exceeds diameter %d", seed, res.Estimate, d)
-		}
-		// The whp guarantee: estimate ≥ ⌊2D/3⌋. These deterministic
-		// seeds satisfy it; a regression here means the algorithm lost
-		// one of its three phases.
-		if res.Estimate < 2*d/3 {
-			t.Errorf("seed %d: estimate %d below 2/3 of diameter %d", seed, res.Estimate, d)
-		}
-		if res.BFSTraversals <= 1 {
-			t.Errorf("seed %d: implausibly few traversals", seed)
-		}
-	}
-}
-
-func TestRodittyWilliamsCheaperThanExactScan(t *testing.T) {
-	g := gen.RandomConnected(2000, 1500, 5)
-	res := RodittyWilliams(g, 0, 1, Options{})
-	// ~2√n + 1 traversals expected.
-	if res.BFSTraversals > 4*46 { // 4·√2000 is a generous cap
-		t.Errorf("used %d traversals", res.BFSTraversals)
-	}
-}
-
-func TestRodittyWilliamsDegenerate(t *testing.T) {
-	if res := RodittyWilliams(graph.NewBuilder(0).Build(), 0, 1, Options{}); res.Estimate != 0 {
-		t.Error("empty graph")
-	}
-	if res := RodittyWilliams(graph.NewBuilder(5).Build(), 0, 1, Options{}); res.Estimate != 0 {
-		t.Error("edgeless graph")
-	}
-	if res := RodittyWilliams(gen.Path(2), 0, 1, Options{}); res.Estimate != 1 {
-		t.Errorf("K2: estimate %d, want 1", res.Estimate)
-	}
-}
-
-func TestTwoApprox(t *testing.T) {
-	for seed := uint64(0); seed < 6; seed++ {
-		g := gen.RandomConnected(150, int(seed*11)%100, seed+50)
-		d := ecc.Diameter(g, 0)
-		res := TwoApprox(g, Options{})
-		if res.Estimate > d || 2*res.Estimate < d {
-			t.Errorf("seed %d: estimate %d not within [D/2, D] of %d", seed, res.Estimate, d)
-		}
-		if res.BFSTraversals != 1 {
-			t.Errorf("two-approx used %d traversals", res.BFSTraversals)
-		}
-	}
-	if res := TwoApprox(graph.NewBuilder(3).Build(), Options{}); res.Estimate != 0 {
-		t.Error("edgeless graph")
-	}
-}
-
 func BenchmarkFloydWarshall(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		g := gen.RandomConnected(n, 2*n, 7)

@@ -308,13 +308,13 @@ func TestTwoSweepAndApproxExtensions(t *testing.T) {
 	TableTwoSweep(&buf, small, cfg)
 	TableApprox(&buf, small, cfg)
 	out := buf.String()
-	for _, want := range []string{"2-sweep", "4-sweep", "Roditty", "yes"} {
+	for _, want := range []string{"2-sweep", "4-sweep", "approximation mode", "yes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, "NO") {
-		t.Errorf("approximation bound violated:\n%s", out)
+		t.Errorf("exact diameter outside the approximation corridor:\n%s", out)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fdiam/internal/baseline"
+	"fdiam/internal/core"
 	"fdiam/internal/ecc"
 	"fdiam/internal/graph"
 	"fdiam/internal/stats"
@@ -41,29 +42,34 @@ func ExtensionCodes() []Code {
 	}
 }
 
-// TableApprox measures the Roditty–Williams 3/2-approximation against the
-// exact diameter: estimate quality and traversal budget.
+// approxSweeps is the double-sweep budget TableApprox gives the estimator:
+// the default fdiamd applies to a ?mode=approx request.
+const approxSweeps = 4
+
+// TableApprox measures the served estimator — approximation mode
+// (core.Options.Approx), the path behind fdiamd's ?mode=approx — against
+// the exact diameter: the proven corridor [Diameter, Upper], its gap,
+// whether the exact value lies inside it, and the traversal budget.
 func TableApprox(w io.Writer, workloads []*Workload, cfg Config) {
-	t := NewTable("Extension table: Roditty–Williams diameter approximation vs exact",
-		"graph", "exact", "estimate", "ratio", "BFS", "2/3 bound holds")
+	t := NewTable(fmt.Sprintf("Extension table: approximation mode (%d double sweeps) vs exact", approxSweeps),
+		"graph", "exact", "corridor", "gap", "exact inside", "BFS")
 	for _, wl := range workloads {
 		g := wl.Graph()
 		exact := FDiamPar.Run(g, cfg.Workers, cfg.Timeout)
-		approx := baseline.RodittyWilliams(g, 0, 1, baseline.Options{Workers: cfg.Workers})
-		ratio := "n/a"
-		holds := "n/a"
-		if !exact.TimedOut && exact.Diameter > 0 {
-			ratio = fmt.Sprintf("%.3f", float64(approx.Estimate)/float64(exact.Diameter))
-			if approx.Estimate >= 2*exact.Diameter/3 {
-				holds = "yes"
-			} else {
-				holds = "NO"
+		approx := core.Diameter(g, core.Options{Workers: cfg.Workers, Timeout: cfg.Timeout,
+			Approx: core.ApproxOptions{Sweeps: approxSweeps, Seed: 1}})
+		inside := "n/a"
+		if !exact.TimedOut && !approx.TimedOut {
+			inside = "yes"
+			if exact.Diameter < approx.Diameter || exact.Diameter > approx.Upper {
+				inside = "NO"
 			}
 		}
 		t.Add(wl.Name,
 			fmtCountOrTO(int64(exact.Diameter), exact.TimedOut),
-			fmt.Sprintf("%d", approx.Estimate), ratio,
-			fmt.Sprintf("%d", approx.BFSTraversals), holds)
+			fmt.Sprintf("[%d, %d]", approx.Diameter, approx.Upper),
+			fmt.Sprintf("%d", approx.Gap), inside,
+			fmt.Sprintf("%d", approx.Stats.BFSTraversals()))
 		wl.Release()
 	}
 	t.Render(w)
@@ -94,9 +100,10 @@ func TableExtensions(w io.Writer, workloads []*Workload, cfg Config) {
 }
 
 // TableAllEcc measures the bounded all-eccentricities computation
-// (diameter + radius + full distribution) against brute force, reporting
-// the traversal savings. Cancelling ctx stops mid-catalog with the rows
-// rendered so far (a truncated eccentricity run is reported as such).
+// (ecc.FastInfo: diameter, plus radius of the largest component, plus the
+// full distribution) against brute force, reporting the traversal savings.
+// Cancelling ctx stops mid-catalog with the rows rendered so far (a
+// truncated eccentricity run is reported as such).
 func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Config) {
 	t := NewTable("Extension table: all-vertex eccentricities via bounding (vs n brute-force BFS)",
 		"graph", "vertices", "BFS used", "saving", "diameter", "radius", "time")
@@ -104,30 +111,19 @@ func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Co
 		g := wl.Graph()
 		n := g.NumVertices()
 		start := time.Now()
-		res := ecc.BoundedAll(ctx, g, cfg.Workers)
+		info := ecc.FastInfo(ctx, g, cfg.Workers)
 		elapsed := time.Since(start)
-		var diam, radius int32
-		radius = int32(n)
-		for v := 0; v < n; v++ {
-			e := res.Eccs[v]
-			if e > diam {
-				diam = e
-			}
-			if g.Degree(graph.Vertex(v)) > 0 && e < radius {
-				radius = e
-			}
-		}
 		saving := "n/a"
-		if res.BFSTraversals > 0 {
-			saving = fmt.Sprintf("%.1fx", float64(n)/float64(res.BFSTraversals))
+		if info.BFSTraversals > 0 {
+			saving = fmt.Sprintf("%.1fx", float64(n)/float64(info.BFSTraversals))
 		}
-		diamCol := fmt.Sprintf("%d", diam)
-		if res.Truncated {
+		diamCol := fmt.Sprintf("%d", info.Diameter)
+		if info.Truncated {
 			diamCol += " (truncated)"
 		}
 		t.Add(wl.Name, stats.FormatCount(int64(n)),
-			fmt.Sprintf("%d", res.BFSTraversals), saving,
-			diamCol, fmt.Sprintf("%d", radius),
+			fmt.Sprintf("%d", info.BFSTraversals), saving,
+			diamCol, fmt.Sprintf("%d", info.Radius),
 			elapsed.Round(time.Millisecond).String())
 		wl.Release()
 		if ctx.Err() != nil {

@@ -130,11 +130,14 @@ func max32(a, b int32) int32 {
 
 // FastInfo computes Info (diameter, radius, center, periphery, all
 // eccentricities) using BoundedAll instead of brute force — typically a few
-// dozen BFS traversals instead of n. The radius/center/periphery aggregates
-// are restricted to the largest connected component (see Info); a cancelled
-// ctx yields the aggregates of whatever bounds were established, which are
-// not exact — callers that care should use BoundedAll directly and check
-// Truncated.
+// dozen BFS traversals instead of n — and reports BoundedAll's traversal
+// count. The radius/center/periphery aggregates are restricted to the
+// largest connected component (see Info); a cancelled ctx sets Truncated,
+// and the aggregates then reflect whatever bounds were established.
 func FastInfo(ctx context.Context, g *graph.Graph, workers int) Info {
-	return infoFromEccs(g, BoundedAll(ctx, g, workers).Eccs)
+	res := BoundedAll(ctx, g, workers)
+	info := infoFromEccs(g, res.Eccs)
+	info.BFSTraversals = res.BFSTraversals
+	info.Truncated = res.Truncated
+	return info
 }

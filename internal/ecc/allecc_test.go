@@ -257,3 +257,21 @@ func TestBoundedAllCancelled(t *testing.T) {
 		t.Fatal("uncancelled run reported Truncated")
 	}
 }
+
+// FastInfo carries BoundedAll's verdict: its traversal count, and Truncated
+// when the context was cancelled.
+func TestFastInfoReportsTraversalsAndTruncation(t *testing.T) {
+	g := gen.CoreWhiskers(2000, 4, 0.2, 6, 3)
+	info := FastInfo(context.Background(), g, 1)
+	if want := BoundedAll(context.Background(), g, 1).BFSTraversals; info.BFSTraversals != want || want == 0 {
+		t.Fatalf("FastInfo BFSTraversals = %d, BoundedAll spent %d", info.BFSTraversals, want)
+	}
+	if info.Truncated {
+		t.Fatal("uncancelled FastInfo reported Truncated")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if info := FastInfo(ctx, g, 1); !info.Truncated {
+		t.Fatal("cancelled FastInfo did not report Truncated")
+	}
+}

@@ -59,6 +59,13 @@ type Info struct {
 	Periphery []graph.Vertex
 	// Eccs holds the per-vertex eccentricities, every component included.
 	Eccs []int32
+	// BFSTraversals counts the full BFS calls FastInfo spent (BoundedAll's
+	// count); Compute leaves it 0.
+	BFSTraversals int64
+	// Truncated reports that FastInfo's context was cancelled before every
+	// vertex resolved: the unresolved Eccs then hold lower bounds, and the
+	// aggregates derived from them are not exact.
+	Truncated bool
 }
 
 // Compute derives Info from a graph using the brute-force method.

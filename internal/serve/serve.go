@@ -671,11 +671,17 @@ func transientStagedErr(err error) bool {
 
 // requestGraphBytes returns the serialized graph for the request: the
 // uploaded body, or — when a graph directory is configured — the
-// pre-staged file named by the `path` parameter.
+// pre-staged file named by the `path` parameter. Staged METIS files are
+// refused: fdiamd parses every graph by content (ReadAuto), which reads a
+// METIS header as an edge and would solve the wrong graph.
 func (s *Server) requestGraphBytes(w http.ResponseWriter, r *http.Request) ([]byte, int, error) {
 	if name := r.URL.Query().Get("path"); name != "" {
 		if s.graphDir == nil {
 			return nil, http.StatusBadRequest, errors.New("path requests disabled: no -graphs directory configured")
+		}
+		if graphio.IsMETIS(name) {
+			return nil, http.StatusBadRequest, fmt.Errorf(
+				"path: %s is METIS, which fdiamd does not read; stage the graph as binary CSR instead (graphgen -o x.bin)", name)
 		}
 		return s.readStaged(name)
 	}

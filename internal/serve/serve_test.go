@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -154,6 +155,20 @@ func TestDiameterPathRequests(t *testing.T) {
 
 	if resp, _ := postGraph(t, ts, "?path=nope.bin", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing file: status %d, want 404", resp.StatusCode)
+	}
+	// A staged METIS file would be sniffed as an edge list and solved as
+	// the wrong graph; it is refused before it is read.
+	if err := graphio.WriteFile(filepath.Join(dir, "c.metis"), gen.Cycle(10)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/diameter?path=c.metis", "application/octet-stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "METIS") || !strings.Contains(string(msg), ".bin") {
+		t.Fatalf("METIS file: status %d %q, want 400 naming METIS and the .bin conversion", resp.StatusCode, msg)
 	}
 	// Traversal outside the graph dir must be rejected by os.Root.
 	if resp, _ := postGraph(t, ts, "?path=..%2Fsecret", nil); resp.StatusCode == http.StatusOK {
