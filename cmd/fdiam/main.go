@@ -121,7 +121,7 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	if *faults == "list" {
 		// The inventory covers the points linked into this binary; fdiamd
-		// registers additional serve/cluster points.
+		// registers additional serve points.
 		for _, name := range fault.List() {
 			fmt.Fprintln(out, name)
 		}

@@ -357,7 +357,7 @@ func TestRunFaultsListAndValidation(t *testing.T) {
 		t.Fatalf("-faults=list: code %d err %v", code, err)
 	}
 	// The inventory is per-binary: fdiam links the solver and I/O points
-	// (the serve/cluster points live in fdiamd).
+	// (the serve points live in fdiamd).
 	for _, want := range []string{"graphio.short_read", "checkpoint.torn_write"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("-faults=list output missing %s:\n%s", want, buf.String())

@@ -10,7 +10,6 @@
 //	POST /diameter?path=f   solve a pre-staged file from the -graphs dir
 //	POST /jobs              submit an async solve; responds 202 with a job id
 //	GET  /jobs/{id}         poll an async job (id = the graph's SHA-256)
-//	GET  /cluster           ring membership + peer health (?key= owner lookup)
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /metrics           Prometheus text format (fdiamd_* + solver)
 //	GET  /progress          live snapshot of the current run
@@ -45,27 +44,16 @@
 // there (one subdirectory per graph, content-addressed); after a crash or
 // kill -9 the next boot resumes the orphaned solves from their snapshots and
 // publishes the results to the caches, losing at most one checkpoint
-// interval of work. FDIAM_FAULTS (or -faults) arms deterministic fault
-// injection for chaos testing; -faults=list prints every known injection
-// point and exits.
-//
-// Cluster mode: -peers gives the static membership (comma-separated base
-// URLs, -self naming this node's own entry). Each graph content hash has
-// one owning peer on a consistent-hash ring; a request arriving elsewhere
-// is forwarded to the owner, and an unreachable owner degrades to a local
-// solve rather than an error. Async jobs (POST /jobs) survive process
-// death when -checkpoint-dir is set: the next boot finishes them and
-// GET /jobs/{id} finds the result. -tenant-header arms per-tenant
-// admission quotas (token bucket of -tenant-rate/-tenant-burst per header
-// value) answering 429 + Retry-After when a tenant overruns.
+// interval of work. Async jobs (POST /jobs) survive process death the same
+// way: the next boot finishes them and GET /jobs/{id} finds the result.
+// FDIAM_FAULTS (or -faults) arms deterministic fault injection for chaos
+// testing; -faults=list prints every known injection point and exits.
 //
 // Examples:
 //
 //	fdiamd -addr :8080
 //	fdiamd -addr :8080 -graphs /data/graphs -max-concurrent 4 -max-timeout 2.5h
 //	fdiamd -addr :8080 -checkpoint-dir /var/lib/fdiamd/ckpt -checkpoint-interval 30s
-//	fdiamd -addr :8081 -self http://10.0.0.1:8081 \
-//	    -peers http://10.0.0.1:8081,http://10.0.0.2:8081,http://10.0.0.3:8081
 package main
 
 import (
@@ -77,11 +65,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"fdiam/internal/cluster"
 	"fdiam/internal/fault"
 	"fdiam/internal/obs"
 	"fdiam/internal/serve"
@@ -113,12 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	ckDir := fs.String("checkpoint-dir", "", "persist crash-safe snapshots of in-flight solves here and resume them on boot (empty = off)")
 	ckEvery := fs.Duration("checkpoint-interval", 10*time.Second, "snapshot cadence for checkpointed solves")
-	peers := fs.String("peers", "", "comma-separated base URLs of all cluster nodes, this one included (empty = standalone)")
-	self := fs.String("self", "", "this node's own base URL as it appears in -peers (required with -peers)")
-	probeInterval := fs.Duration("probe-interval", 2*time.Second, "peer health-probe cadence in cluster mode")
-	tenantHeader := fs.String("tenant-header", "", "request header identifying a tenant for admission quotas (empty = quotas off)")
-	tenantRate := fs.Float64("tenant-rate", 1, "per-tenant sustained admission rate, requests/second")
-	tenantBurst := fs.Int("tenant-burst", 5, "per-tenant burst allowance above the sustained rate")
 	faults := fs.String("faults", "", "fault-injection spec for chaos testing (overrides "+fault.EnvVar+"; see internal/fault), or \"list\" to print known points and exit")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error (debug includes per-solve stage and bound events)")
@@ -154,21 +134,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer stopSampler()
 	}
 
-	var cl *cluster.Cluster
-	if *peers != "" {
-		cl, err = cluster.New(cluster.Config{
-			Self:          *self,
-			Peers:         strings.Split(*peers, ","),
-			ProbeInterval: *probeInterval,
-			Logger:        lg,
-		})
-		if err != nil {
-			return err
-		}
-		cl.StartProbes(ctx)
-		fmt.Fprintf(out, "fdiamd: cluster mode, self=%s peers=%v\n", cl.Self(), cl.Peers())
-	}
-
 	api, err := serve.New(serve.Config{
 		MaxConcurrent:   *maxConcurrent,
 		MaxQueue:        *maxQueue,
@@ -181,10 +146,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		CheckpointDir:   *ckDir,
 		CheckpointEvery: *ckEvery,
 		Workers:         *workers,
-		Cluster:         cl,
-		TenantHeader:    *tenantHeader,
-		TenantRate:      *tenantRate,
-		TenantBurst:     *tenantBurst,
 		Logger:          lg,
 	})
 	if err != nil {

@@ -145,6 +145,9 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"stray-arg"}, out); err == nil {
 		t.Fatal("stray positional argument accepted")
 	}
+	if err := run(ctx, []string{"-peers", "x"}, out); err == nil {
+		t.Fatal("retired -peers flag accepted")
+	}
 	if err := run(ctx, []string{"-graphs", "/nonexistent-dir-fdiamd-test"}, out); err == nil {
 		t.Fatal("missing graph dir accepted")
 	}
@@ -153,24 +156,24 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestDaemonFaultsList pins the per-binary fault inventory: fdiamd links
-// the serve and cluster packages, so their points must appear alongside
-// the solver/I-O points shared with fdiam.
+// TestDaemonFaultsList pins the per-binary fault inventory exactly: the
+// serve points plus the solver/I-O points shared with fdiam. Equality, not
+// containment, so a point whose code is gone cannot linger in the list.
 func TestDaemonFaultsList(t *testing.T) {
 	out := &syncBuffer{}
 	if err := run(context.Background(), []string{"-faults", "list"}, out); err != nil {
 		t.Fatalf("-faults=list: %v", err)
 	}
-	got := out.String()
-	for _, want := range []string{
-		"cluster.peer_dial",
-		"cluster.peer_timeout",
-		"cluster.forward_5xx",
-		"serve.webhook_fail",
+	want := strings.Join([]string{
+		"checkpoint.rename_fail",
+		"checkpoint.torn_write",
 		"graphio.short_read",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("-faults=list output missing %s:\n%s", want, got)
-		}
+		"serve.cache_write",
+		"serve.handler_panic",
+		"serve.slow_stage",
+		"serve.staged_read",
+	}, "\n") + "\n"
+	if got := out.String(); got != want {
+		t.Errorf("-faults=list output:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -9,8 +9,7 @@ import (
 // CtxFlow polices context propagation along blocking call paths, using the
 // interprocedural Blocks facts from the package summaries. PR 4 made the
 // solver context-first precisely because blocking APIs without a context
-// cannot be cancelled, drained, or deadlined; cluster mode and out-of-core
-// work (ROADMAP) will multiply such paths. Three rules:
+// cannot be cancelled, drained, or deadlined. Three rules:
 //
 //	A. An exported API in the solver-facing packages (internal/core, bfs,
 //	   serve, checkpoint, ecc) whose summary blocks must accept a
@@ -37,7 +36,6 @@ var ctxScopeSuffixes = []string{
 	"internal/core",
 	"internal/bfs",
 	"internal/serve",
-	"internal/cluster",
 	"internal/checkpoint",
 	"internal/ecc",
 }

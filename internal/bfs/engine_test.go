@@ -2,7 +2,9 @@ package bfs
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"weak"
 
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
@@ -378,5 +380,30 @@ func TestGraphAccessor(t *testing.T) {
 	g := gen.Path(3)
 	if New(g, 1).Graph() != g {
 		t.Fatal("Graph() accessor broken")
+	}
+}
+
+// TestParallelEngineIsCollected pins that a dropped engine whose pool has
+// dispatched can be garbage collected. The pool's last job must not keep
+// the body closure (and through it the engine) alive: the engine's
+// cleanup holds the pool, so such a reference would pin both forever and
+// leak every parallel solve's buffers and parked workers.
+func TestParallelEngineIsCollected(t *testing.T) {
+	wp := func() weak.Pointer[Engine] {
+		e := New(gen.Grid2D(40, 40), 2)
+		e.setSerialCutoff(1) // every level dispatches onto the pool
+		if got := e.Eccentricity(0); got != 78 {
+			t.Fatalf("ecc(0) = %d, want 78", got)
+		}
+		if e.pool == nil {
+			t.Fatal("traversal never dispatched onto the pool")
+		}
+		return weak.Make(e)
+	}()
+	for i := 0; i < 10 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("engine still reachable after GC: the pool pins its last job")
 	}
 }

@@ -33,16 +33,9 @@ const (
 	KeyGap       = "gap"
 	KeyError     = "error"
 	KeyPanic     = "panic"
-	KeyAddr      = "addr"
 	KeyPath      = "path"
-	KeyCount     = "count"
-	// Cluster and async-job vocabulary (PR 10): peer events, forward
-	// routing and job lifecycle lines all join on these.
-	KeyPeer    = "peer"
-	KeyOwner   = "owner"
-	KeyJobID   = "job_id"
-	KeyTenant  = "tenant"
-	KeyWebhook = "webhook"
+	// KeyJobID joins the lifecycle lines of one async job.
+	KeyJobID = "job_id"
 )
 
 // NewLogger builds a slog.Logger writing to w. format is "text" or "json";

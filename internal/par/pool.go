@@ -151,6 +151,12 @@ func (p *Pool) ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
 		<-j.done
 		hDispatchWait.ObserveSince(waitStart)
 	}
+	// Every parked worker has acknowledged j, so none reads cur again
+	// until the next generation. Dropping it lets body's captures (a BFS
+	// engine whose cleanup holds this pool) be collected between jobs.
+	p.mu.Lock()
+	p.cur = nil
+	p.mu.Unlock()
 	gWorkersBusy.Add(int64(-workers))
 }
 

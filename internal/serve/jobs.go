@@ -6,10 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -17,30 +14,22 @@ import (
 	"time"
 
 	"fdiam/internal/core"
-	"fdiam/internal/fault"
 	"fdiam/internal/graph"
 	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
 )
 
-// Injection point for webhook chaos: serve.webhook_fail fails a delivery
-// attempt, exercising the retry loop and the final-failure counter.
-var faultWebhookFail = fault.Register("serve.webhook_fail")
-
 // Async job API: POST /jobs submits the same request POST /diameter takes
-// and returns immediately with a job ID; GET /jobs/{id} polls it; an
-// optional ?webhook= URL receives the finished result. The job ID is the
-// graph's content SHA-256 — the same key the caches and the per-graph
-// checkpoint directories use — which is what makes jobs crash-safe without
-// any job journal: a process death mid-solve leaves the checkpoint
-// directory behind, the next boot's ResumeOrphans finishes the solve and
-// publishes the result under the key, and GET /jobs/{id} finds it in the
-// result cache as if nothing had happened. Webhook registrations are
-// in-memory only and do not survive a restart; polling does.
+// and returns immediately with a job ID; GET /jobs/{id} polls it. The job
+// ID is the graph's content SHA-256 — the same key the caches and the
+// per-graph checkpoint directories use — which is what makes jobs
+// crash-safe without any job journal: a process death mid-solve leaves the
+// checkpoint directory behind, the next boot's ResumeOrphans finishes the
+// solve and publishes the result under the key, and GET /jobs/{id} finds
+// it in the result cache as if nothing had happened.
 type jobRecord struct {
 	id        string
 	requestID string
-	webhook   string
 	at        anytime
 	timeout   time.Duration
 
@@ -105,8 +94,7 @@ func (t *jobTable) view(j *jobRecord) (state string, res core.Result) {
 	return j.state, j.res
 }
 
-// jobResponse is the /jobs reply schema, shared by submit, poll and
-// webhook deliveries.
+// jobResponse is the /jobs reply schema, shared by submit and poll.
 type jobResponse struct {
 	JobID string `json:"job_id"`
 	State string `json:"state"`
@@ -132,10 +120,7 @@ func validJobID(id string) bool {
 
 // handleJobs serves POST /jobs: admit, register, answer 202 with the job
 // ID, and run the solve in the background under the same slot pool request
-// solves use. Ring routing matches /diameter — a non-owner forwards the
-// submission to the owner so the checkpoint directory (and therefore crash
-// recovery) lands on the node that owns the graph, and falls back to
-// running the job locally when the owner is unreachable.
+// solves use.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -148,9 +133,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lg := obs.LoggerFrom(r.Context())
-	if !s.tenantAdmit(w, r) {
-		return
-	}
 
 	q := r.URL.Query()
 	at, err := parseAnytime(q)
@@ -163,13 +145,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	webhook := q.Get("webhook")
-	if webhook != "" {
-		u, err := url.Parse(webhook)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			http.Error(w, fmt.Sprintf("webhook: %q is not an http(s) URL", webhook), http.StatusBadRequest)
-			return
-		}
+	if q.Has("webhook") {
+		// Rejected rather than ignored: a client expecting a callback
+		// would otherwise wait forever.
+		http.Error(w, "webhook: not supported; poll GET /jobs/{id}", http.StatusBadRequest)
+		return
 	}
 	data, status, err := s.requestGraphBytes(w, r)
 	if err != nil {
@@ -180,28 +160,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	sum := sha256.Sum256(data)
 	key := hex.EncodeToString(sum[:])
 
-	if owner, ok := s.forwardOwner(r, key); ok {
-		if s.tryForward(w, r, owner, data) {
-			return
-		}
-		// Owner unreachable: the job runs here. Crash recovery still works
-		// — the checkpoint lands in this node's directory and this node's
-		// boot adopts it; only cache locality is lost until the owner heals.
-	}
-
-	// An already-known answer completes the job instantly (and still
-	// honors the webhook contract: the client asked to be told).
+	// An already-known answer completes the job instantly.
 	if res, ok := s.lookupResult(key, at); ok {
 		s.mResultHits.Inc()
-		j := &jobRecord{id: key, requestID: obs.RequestIDFrom(r.Context()), webhook: webhook, at: at, state: jobDone, res: res}
-		if webhook != "" {
-			s.inflight.Add(1)
-			//fdiamlint:ignore nakedgo webhook delivery for an already-cached result; bounded retries, joined via inflight on drain
-			go func() {
-				defer s.inflight.Done()
-				s.deliverWebhook(j)
-			}()
-		}
+		j := &jobRecord{id: key, requestID: obs.RequestIDFrom(r.Context()), at: at, state: jobDone, res: res}
 		s.writeJob(w, http.StatusOK, s.jobResponseFor(j, key))
 		return
 	}
@@ -209,7 +171,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	j := &jobRecord{
 		id:        key,
 		requestID: obs.RequestIDFrom(r.Context()),
-		webhook:   webhook,
 		at:        at,
 		timeout:   timeout,
 		state:     jobRunning,
@@ -258,7 +219,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		ck = s.checkpointOptions(key, data)
 	}
 	s.mJobsSubmitted.Inc()
-	lg.Info("job_submitted", obs.KeyJobID, key, obs.KeyWebhook, webhook)
+	lg.Info("job_submitted", obs.KeyJobID, key)
 	s.inflight.Add(1)
 	//fdiamlint:ignore nakedgo async job solve, bounded by the admission ledger and slot pool, joined via inflight on drain
 	go s.runJob(j, g, graphHit, ck)
@@ -313,16 +274,12 @@ func (s *Server) runJob(j *jobRecord, g *graph.Graph, graphHit bool, ck core.Che
 	s.jobs.finish(j, jobDone, res)
 	s.mJobsCompleted.Inc()
 	s.lg.Info("job_done", obs.KeyJobID, j.id, obs.KeyDiameter, res.Diameter)
-	if j.webhook != "" {
-		s.deliverWebhook(j)
-	}
 }
 
-// handleJobGet serves GET /jobs/{id}. Lookup order is local-first — the
-// in-memory record, then the result cache (which a restarted node's orphan
-// resume repopulates), then a live checkpoint directory (an adopted solve
-// still running) — and only then forwards to the ring owner, so a job that
-// fell back to a local solve is found where it actually ran.
+// handleJobGet serves GET /jobs/{id}. Lookup order is the in-memory
+// record, then the result cache (which a restarted node's orphan resume
+// repopulates), then a live checkpoint directory (an adopted solve still
+// running).
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -351,9 +308,6 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.writeJob(w, http.StatusOK, jobResponse{JobID: id, State: jobRunning})
 		return
 	}
-	if owner, ok := s.forwardOwner(r, id); ok && s.tryForward(w, r, owner, nil) {
-		return
-	}
 	s.writeJob(w, http.StatusNotFound, jobResponse{JobID: id, State: jobUnknown})
 }
 
@@ -372,65 +326,4 @@ func (s *Server) writeJob(w http.ResponseWriter, code int, jr jobResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(jr)
-}
-
-// Webhook delivery policy: same capped-backoff-with-full-jitter shape as
-// the staged-read and forward retries. A webhook that stays down after the
-// budget is counted and logged, never re-queued — the client can always
-// poll GET /jobs/{id}.
-const (
-	webhookAttempts  = 3
-	webhookBaseDelay = 100 * time.Millisecond
-	webhookMaxDelay  = time.Second
-	webhookTimeout   = 10 * time.Second
-)
-
-// deliverWebhook POSTs the finished job to its webhook URL.
-func (s *Server) deliverWebhook(j *jobRecord) {
-	body, err := json.Marshal(s.jobResponseFor(j, j.id))
-	if err != nil {
-		return
-	}
-	delay := webhookBaseDelay
-	var lastErr error
-	for attempt := 1; attempt <= webhookAttempts; attempt++ {
-		if err := s.postWebhook(j.webhook, body); err == nil {
-			s.lg.Info("webhook_delivered", obs.KeyJobID, j.id, obs.KeyWebhook, j.webhook)
-			return
-		} else {
-			lastErr = err
-		}
-		if attempt == webhookAttempts {
-			break
-		}
-		time.Sleep(delay/2 + rand.N(delay/2))
-		delay *= 2
-		if delay > webhookMaxDelay {
-			delay = webhookMaxDelay
-		}
-	}
-	s.mWebhookFails.Inc()
-	s.lg.Warn("webhook_failed", obs.KeyJobID, j.id, obs.KeyWebhook, j.webhook, obs.KeyError, lastErr.Error())
-}
-
-func (s *Server) postWebhook(url string, body []byte) error {
-	if err := faultWebhookFail.Err(); err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, webhookTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(string(body)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.webhookClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= http.StatusMultipleChoices {
-		return fmt.Errorf("webhook: %s answered %d", url, resp.StatusCode)
-	}
-	return nil
 }

@@ -87,8 +87,6 @@ func routeLabel(path string) string {
 		return "diameter"
 	case path == "/jobs" || strings.HasPrefix(path, "/jobs/"):
 		return "jobs"
-	case path == "/cluster":
-		return "cluster"
 	case path == "/healthz":
 		return "healthz"
 	case path == "/metrics":

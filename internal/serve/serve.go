@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"fdiam/internal/checkpoint"
-	"fdiam/internal/cluster"
 	"fdiam/internal/core"
 	"fdiam/internal/fault"
 	"fdiam/internal/graph"
@@ -108,27 +107,6 @@ type Config struct {
 	// over single-request latency set Workers low and MaxConcurrent high.
 	Workers int
 
-	// Cluster, when set, puts the server in cluster mode: each graph
-	// content hash has one owning peer on a consistent-hash ring, and a
-	// request arriving at a non-owner is forwarded to the owner (falling
-	// back to a local solve when the owner is unreachable). nil runs the
-	// server standalone. DESIGN.md §15 documents the routing.
-	Cluster *cluster.Cluster
-
-	// TenantHeader names the request header whose value identifies a
-	// tenant for per-tenant admission quotas (e.g. "X-Tenant"). Empty
-	// disables tenant quotas; requests without the header share one
-	// anonymous bucket.
-	TenantHeader string
-
-	// TenantRate is each tenant's sustained admission rate in requests
-	// per second. Default 1.
-	TenantRate float64
-
-	// TenantBurst is each tenant's burst allowance above the sustained
-	// rate. Default 5.
-	TenantBurst int
-
 	// Registry receives the fdiamd_* metrics. nil selects obs.Default(),
 	// so the daemon's /metrics endpoint exposes solver and serving
 	// counters side by side.
@@ -180,31 +158,24 @@ type Server struct {
 	mux     *http.ServeMux
 	lg      *slog.Logger
 
-	cluster       *cluster.Cluster
-	tenants       *tenantLimiter
-	jobs          *jobTable
-	webhookClient *http.Client
+	jobs *jobTable
 
-	mRequests       *obs.Counter
-	mRejected       *obs.Counter
-	mGraphHits      *obs.Counter
-	mGraphMisses    *obs.Counter
-	mResultHits     *obs.Counter
-	mPanics         *obs.Counter
-	mCancelled      *obs.Counter
-	mStagedRetries  *obs.Counter
-	mResumes        *obs.Counter
-	mPeerForwards   *obs.Counter
-	mPeerFallback   *obs.Counter
-	mTenantRejected *obs.Counter
-	mJobsSubmitted  *obs.Counter
-	mJobsCompleted  *obs.Counter
-	mJobsCancelled  *obs.Counter
-	mWebhookFails   *obs.Counter
-	gInflight       *obs.Gauge
-	gQueued         *obs.Gauge
-	gGraphBytes     *obs.Gauge
-	hQueueWait      *obs.Histogram
+	mRequests      *obs.Counter
+	mRejected      *obs.Counter
+	mGraphHits     *obs.Counter
+	mGraphMisses   *obs.Counter
+	mResultHits    *obs.Counter
+	mPanics        *obs.Counter
+	mCancelled     *obs.Counter
+	mStagedRetries *obs.Counter
+	mResumes       *obs.Counter
+	mJobsSubmitted *obs.Counter
+	mJobsCompleted *obs.Counter
+	mJobsCancelled *obs.Counter
+	gInflight      *obs.Gauge
+	gQueued        *obs.Gauge
+	gGraphBytes    *obs.Gauge
+	hQueueWait     *obs.Histogram
 }
 
 // New builds a Server from cfg. It fails only when cfg.GraphDir is set
@@ -221,13 +192,7 @@ func New(cfg Config) (*Server, error) {
 		graphs:  newGraphCache(cfg.GraphCacheBytes),
 		results: newResultCache(cfg.ResultCacheSize),
 		mux:     http.NewServeMux(),
-
-		cluster:       cfg.Cluster,
-		jobs:          newJobTable(),
-		webhookClient: &http.Client{},
-	}
-	if cfg.TenantHeader != "" {
-		s.tenants = newTenantLimiter(cfg.TenantRate, cfg.TenantBurst)
+		jobs:    newJobTable(),
 	}
 	if cfg.GraphDir != "" {
 		root, err := os.OpenRoot(cfg.GraphDir)
@@ -259,13 +224,9 @@ func New(cfg Config) (*Server, error) {
 	s.mCancelled = reg.Counter("fdiamd_solves_cancelled_total", "solves that returned cancelled (deadline, disconnect or shutdown)")
 	s.mStagedRetries = reg.Counter("fdiamd_staged_read_retries_total", "transient staged-file read failures that were retried")
 	s.mResumes = reg.Counter("fdiamd_resumes_total", "orphaned solves resumed from a checkpoint snapshot")
-	s.mPeerForwards = reg.Counter("fdiamd_peer_forwards_total", "requests forwarded to the owning peer and answered by it")
-	s.mPeerFallback = reg.Counter("fdiamd_peer_fallback_total", "forwards that failed and degraded to a local solve")
-	s.mTenantRejected = reg.Counter("fdiamd_tenant_rejected_total", "requests rejected by per-tenant admission quotas")
 	s.mJobsSubmitted = reg.Counter("fdiamd_jobs_submitted_total", "async jobs accepted via POST /jobs")
 	s.mJobsCompleted = reg.Counter("fdiamd_jobs_completed_total", "async jobs that finished with a result")
 	s.mJobsCancelled = reg.Counter("fdiamd_jobs_cancelled_total", "async jobs cancelled by timeout or shutdown")
-	s.mWebhookFails = reg.Counter("fdiamd_webhook_failures_total", "webhook deliveries that failed after all retries")
 	s.gInflight = reg.Gauge("fdiamd_inflight_solves", "solves currently running")
 	s.gQueued = reg.Gauge("fdiamd_queued_solves", "solves waiting for a slot")
 	s.gGraphBytes = reg.Gauge("fdiamd_graph_cache_bytes", "resident bytes in the parsed-graph cache")
@@ -278,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/diameter", s.handleDiameter)
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/", s.handleJobGet)
-	s.mux.HandleFunc("/cluster", s.handleClusterStatus)
 	s.mux.HandleFunc("/progress/stream", s.handleProgressStream)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	// Everything else falls through to the shared introspection mux:
@@ -368,9 +328,6 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lg := obs.LoggerFrom(r.Context())
-	if !s.tenantAdmit(w, r) {
-		return
-	}
 
 	q := r.URL.Query()
 	streamBounds := q.Get("stream") == "bounds"
@@ -414,19 +371,6 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeResult(w, r, key, res, 0, true, true, nil, at)
 		return
-	}
-
-	// Cluster routing: the ring owner holds this graph's caches and
-	// checkpoint directory, so a non-owner hands the whole request over —
-	// the owner answers from its result cache without solving when it can.
-	// An unreachable owner degrades to solving here (counted, logged,
-	// never an error to the client). Bound-streaming requests always run
-	// locally: relaying a progress stream through a second node would
-	// buffer it.
-	if !streamBounds {
-		if owner, ok := s.forwardOwner(r, key); ok && s.tryForward(w, r, owner, data) {
-			return
-		}
 	}
 
 	g, hit := s.graphs.get(key)
@@ -592,26 +536,6 @@ func (s *Server) lookupResult(key string, at anytime) (core.Result, bool) {
 		}
 	}
 	return core.Result{}, false
-}
-
-// tenantAdmit charges the request's tenant one quota token, answering 429
-// with a Retry-After when the bucket is empty. Requests forwarded from a
-// peer pass for free — the entry node already charged the tenant, and
-// double-charging would make cluster routing cost quota.
-func (s *Server) tenantAdmit(w http.ResponseWriter, r *http.Request) bool {
-	if s.tenants == nil || forwarded(r) {
-		return true
-	}
-	tenant := r.Header.Get(s.cfg.TenantHeader)
-	retryAfter, ok := s.tenants.admit(tenant, time.Now())
-	if ok {
-		return true
-	}
-	s.mTenantRejected.Inc()
-	obs.LoggerFrom(r.Context()).Warn("tenant_rejected", obs.KeyTenant, tenant, obs.KeyPath, r.URL.Path)
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	http.Error(w, "tenant quota exhausted", http.StatusTooManyRequests)
-	return false
 }
 
 // retryAfterSeconds derives the queue-full Retry-After hint from live
@@ -887,7 +811,7 @@ func (s *Server) resumeOrphan(ctx context.Context, key string) bool {
 }
 
 // buildResponse takes the request ID as a plain string rather than the
-// *http.Request so job webhooks — which outlive their submitting request —
+// *http.Request so async jobs — which outlive their submitting request —
 // can build the same payload.
 func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed time.Duration, graphHit, resultHit bool, at anytime) response {
 	witness := func(v uint32) int64 {

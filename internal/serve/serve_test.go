@@ -238,6 +238,22 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
+func TestRetryAfterSecondsScalesWithQueue(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{Workers: 1, MaxConcurrent: 2, MaxQueue: 20})
+	// Idle server: the hint is ~1s (1 plus up to 50% jitter, so 1).
+	if got := s.retryAfterSeconds(); got < 1 || got > 2 {
+		t.Errorf("idle retryAfterSeconds = %d, want 1..2", got)
+	}
+	// 10 queued beyond the 2 running: 1 + 10/2 = 6 base, jittered up to 9.
+	s.admitted.Add(12)
+	defer s.admitted.Add(-12)
+	for i := 0; i < 20; i++ {
+		if got := s.retryAfterSeconds(); got < 6 || got > 9 {
+			t.Fatalf("queued retryAfterSeconds = %d, want 6..9", got)
+		}
+	}
+}
+
 func TestShutdownDrainsInFlightSolves(t *testing.T) {
 	s, ts, reg := newTestServer(t, Config{Workers: 1, MaxConcurrent: 1, MaxQueue: 1})
 	slow := pathGraphBytes(t, 1<<22)
