@@ -120,3 +120,34 @@ func TestEpsilonRequestStopsWithBoundedGap(t *testing.T) {
 		t.Fatalf("ε=0: %+v", zero)
 	}
 }
+
+// TestApproxCorridorSameFromEveryEntryPoint pins that the estimator's seed is
+// derived once, from the content hash: the same graph and budget yield the
+// same corridor whether it is solved by /diameter or by /jobs. Each endpoint
+// gets a fresh server so neither answer comes from the other's cache entry.
+func TestApproxCorridorSameFromEveryEntryPoint(t *testing.T) {
+	var buf bytes.Buffer
+	if err := graphio.WriteBinary(&buf, gen.Grid2D(40, 40)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	const query = "?mode=approx&sweeps=8"
+
+	_, tsSync, _ := newTestServer(t, Config{Workers: 1})
+	resp, sync := postGraph(t, tsSync, query, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/diameter status %d", resp.StatusCode)
+	}
+
+	_, tsJob, _ := newTestServer(t, Config{Workers: 1})
+	if resp, _ := postJob(t, tsJob.URL, query, body); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("/jobs status %d, want 202", resp.StatusCode)
+	}
+	job := waitJobDone(t, tsJob.URL, jobKey(body)).Result
+	if job == nil || job.Diameter != sync.Diameter || job.Upper != sync.Upper ||
+		job.WitnessA != sync.WitnessA || job.WitnessB != sync.WitnessB ||
+		job.Stats.EccBFS != sync.Stats.EccBFS {
+		t.Fatalf("/jobs answer %+v differs from /diameter [%d,%d] witnesses (%d,%d) ecc_bfs %d",
+			job, sync.Diameter, sync.Upper, sync.WitnessA, sync.WitnessB, sync.Stats.EccBFS)
+	}
+}

@@ -2,20 +2,13 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
-	"fdiam/internal/core"
-	"fdiam/internal/graph"
-	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
 )
 
@@ -31,11 +24,10 @@ type jobRecord struct {
 	id        string
 	requestID string
 	at        anytime
-	timeout   time.Duration
 
 	// Guarded by jobTable.mu after publication.
 	state string // jobRunning | jobDone | jobCancelled
-	res   core.Result
+	o     outcome
 }
 
 const (
@@ -77,21 +69,21 @@ func (t *jobTable) drop(id string) {
 	delete(t.m, id)
 }
 
-// finish publishes the job's outcome and returns a snapshot of the record.
-func (t *jobTable) finish(j *jobRecord, state string, res core.Result) {
+// finish publishes the job's outcome.
+func (t *jobTable) finish(j *jobRecord, state string, o outcome) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	j.state = state
-	j.res = res
+	j.o = o
 }
 
 // view reads the record's mutable fields under the table lock. It works
 // for any record — table-resident or a cache-hit record that never entered
 // the map — because it locks the table, not the map entry.
-func (t *jobTable) view(j *jobRecord) (state string, res core.Result) {
+func (t *jobTable) view(j *jobRecord) (state string, o outcome) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return j.state, j.res
+	return j.state, j.o
 }
 
 // jobResponse is the /jobs reply schema, shared by submit and poll.
@@ -118,62 +110,35 @@ func validJobID(id string) bool {
 	return true
 }
 
-// handleJobs serves POST /jobs: admit, register, answer 202 with the job
-// ID, and run the solve in the background under the same slot pool request
-// solves use.
+// handleJobs serves POST /jobs, the background entry point of the solve
+// pipeline: intake, load, register, admit, answer 202 with the job ID, and
+// run the solve step in the background.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a graph file to submit an async job; poll GET /jobs/{id}", http.StatusMethodNotAllowed)
+	req, ok := s.intake(w, r, "POST a graph file to submit an async job; poll GET /jobs/{id}", func(q url.Values) error {
+		// Rejected rather than ignored: a client expecting a callback, an
+		// event stream or a trace would otherwise wait for something that
+		// never comes.
+		for _, p := range []string{"webhook", "stream", "trace"} {
+			if q.Has(p) {
+				return fmt.Errorf("%s: not supported; poll GET /jobs/{id}", p)
+			}
+		}
+		return nil
+	})
+	if !ok {
 		return
 	}
-	s.mRequests.Inc()
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	lg := obs.LoggerFrom(r.Context())
-
-	q := r.URL.Query()
-	at, err := parseAnytime(q)
+	o, cached, err := s.load(req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	j := &jobRecord{id: req.key, requestID: obs.RequestIDFrom(r.Context()), at: req.at, state: jobRunning}
+	if cached {
+		// An already-known answer completes the job instantly.
+		j.state, j.o = jobDone, o
+		writeJSON(w, http.StatusOK, s.jobResponseFor(j))
 		return
-	}
-	if q.Has("webhook") {
-		// Rejected rather than ignored: a client expecting a callback
-		// would otherwise wait forever.
-		http.Error(w, "webhook: not supported; poll GET /jobs/{id}", http.StatusBadRequest)
-		return
-	}
-	data, status, err := s.requestGraphBytes(w, r)
-	if err != nil {
-		lg.Warn("graph_read_failed", obs.KeyError, err.Error())
-		http.Error(w, err.Error(), status)
-		return
-	}
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:])
-
-	// An already-known answer completes the job instantly.
-	if res, ok := s.lookupResult(key, at); ok {
-		s.mResultHits.Inc()
-		j := &jobRecord{id: key, requestID: obs.RequestIDFrom(r.Context()), at: at, state: jobDone, res: res}
-		s.writeJob(w, http.StatusOK, s.jobResponseFor(j, key))
-		return
-	}
-
-	j := &jobRecord{
-		id:        key,
-		requestID: obs.RequestIDFrom(r.Context()),
-		at:        at,
-		timeout:   timeout,
-		state:     jobRunning,
 	}
 	cur, claimed := s.jobs.claim(j)
 	if !claimed {
@@ -185,95 +150,44 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if state != jobRunning {
 			code = http.StatusOK
 		}
-		s.writeJob(w, code, s.jobResponseFor(cur, key))
+		writeJSON(w, code, s.jobResponseFor(cur))
 		return
 	}
-
-	g, graphHit := s.graphs.get(key)
-	if !graphHit {
-		parsed, err := graphio.ReadAuto(data)
-		if err != nil {
-			s.jobs.drop(key)
-			http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		g = parsed
-	}
-
-	// Jobs ride the same admission ledger as synchronous solves: a flood
-	// of submissions beyond running+queued capacity gets 429s, not an
-	// unbounded goroutine pile.
-	if admitted := s.admitted.Add(1); admitted > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
-		s.admitted.Add(-1)
-		s.jobs.drop(key)
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		http.Error(w, "solver queue full", http.StatusTooManyRequests)
+	// Admission arms the checkpoint before the 202 goes out: from then on
+	// even kill -9 leaves enough on disk for the next boot to finish the job.
+	if !s.admit(w, req) {
+		s.jobs.drop(req.key)
 		return
-	}
-	var ck core.CheckpointOptions
-	if s.cfg.CheckpointDir != "" {
-		// The graph copy is persisted before the 202 goes out: from this
-		// point on, even kill -9 leaves enough on disk for the next boot
-		// to finish the job.
-		ck = s.checkpointOptions(key, data)
 	}
 	s.mJobsSubmitted.Inc()
-	lg.Info("job_submitted", obs.KeyJobID, key)
-	s.inflight.Add(1)
+	lg := obs.LoggerFrom(r.Context()).With(obs.KeyJobID, req.key)
+	lg.Info("job_submitted")
+	// A job outlives its submitting request: the solve keeps the request's
+	// ID and logger but not its cancellation.
+	ctx := obs.ContextWithLogger(context.WithoutCancel(r.Context()), lg)
 	//fdiamlint:ignore nakedgo async job solve, bounded by the admission ledger and slot pool, joined via inflight on drain
-	go s.runJob(j, g, graphHit, ck)
-	s.writeJob(w, http.StatusAccepted, s.jobResponseFor(j, key))
+	go s.runJob(ctx, j, req)
+	writeJSON(w, http.StatusAccepted, s.jobResponseFor(j))
 }
 
-// runJob executes one submitted job under the shared slot pool. The solve
-// context is the server's base context (a job outlives its submitting
-// request by design) plus the job's own timeout.
-func (s *Server) runJob(j *jobRecord, g *graph.Graph, graphHit bool, ck core.CheckpointOptions) {
-	defer s.inflight.Done()
-	defer s.admitted.Add(-1)
-	s.gQueued.Add(1)
-	queueStart := s.hQueueWait.StartTimer()
-	select {
-	case s.slots <- struct{}{}:
-		s.gQueued.Add(-1)
-		s.hQueueWait.ObserveSince(queueStart)
-	case <-s.baseCtx.Done():
-		// Drained before the job got a slot: nothing ran, nothing is lost
-		// — the persisted graph copy makes the next boot re-run it.
-		s.gQueued.Add(-1)
-		s.jobs.finish(j, jobCancelled, core.Result{Cancelled: true})
-		s.mJobsCancelled.Inc()
-		return
-	}
-	defer func() { <-s.slots }()
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	ctx = obs.ContextWithRequestID(obs.ContextWithLogger(ctx, s.lg.With(obs.KeyJobID, j.id)), j.requestID)
-
-	opt := core.Options{Workers: s.cfg.Workers, Timeout: j.timeout, Checkpoint: ck, Epsilon: j.at.solverEpsilon()}
-	if j.at.approx {
-		sum := sha256.Sum256([]byte(j.id))
-		opt.Approx = core.ApproxOptions{Sweeps: j.at.sweeps, Seed: binary.BigEndian.Uint64(sum[:8])}
-	}
-	s.gInflight.Add(1)
-	res := core.DiameterCtx(ctx, g, opt)
-	s.gInflight.Add(-1)
-	s.publishOutcome(j.id, g, graphHit, res, j.at)
-
-	if res.Cancelled {
+// runJob runs one admitted job's solve step and records its outcome. A job
+// drained before it got a slot reads cancelled: nothing ran and nothing is
+// lost, since the persisted graph copy makes the next boot re-run it.
+func (s *Server) runJob(ctx context.Context, j *jobRecord, req *request) {
+	defer s.release()
+	o, _ := s.solve(ctx, req, nil)
+	if o.res.Cancelled {
 		// The snapshot stays behind (publishOutcome never retires a
 		// cancelled solve's directory); a restart or re-submission resumes
 		// from it.
-		s.jobs.finish(j, jobCancelled, res)
+		s.jobs.finish(j, jobCancelled, o)
 		s.mJobsCancelled.Inc()
-		s.lg.Warn("job_cancelled", obs.KeyJobID, j.id, obs.KeyBound, res.Diameter)
+		s.lg.Warn("job_cancelled", obs.KeyJobID, j.id, obs.KeyBound, o.res.Diameter)
 		return
 	}
-	s.jobs.finish(j, jobDone, res)
+	s.jobs.finish(j, jobDone, o)
 	s.mJobsCompleted.Inc()
-	s.lg.Info("job_done", obs.KeyJobID, j.id, obs.KeyDiameter, res.Diameter)
+	s.lg.Info("job_done", obs.KeyJobID, j.id, obs.KeyDiameter, o.res.Diameter)
 }
 
 // handleJobGet serves GET /jobs/{id}. Lookup order is the in-memory
@@ -292,7 +206,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j, ok := s.jobs.get(id); ok {
-		s.writeJob(w, http.StatusOK, s.jobResponseFor(j, id))
+		writeJSON(w, http.StatusOK, s.jobResponseFor(j))
 		return
 	}
 	// No record: this node may have restarted since the submission. The
@@ -300,30 +214,24 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	// like a request solve would); a checkpoint directory means the
 	// adopted solve is still running.
 	if res, ok := s.results.get(id); ok {
-		rr := s.buildResponse(obs.RequestIDFrom(r.Context()), id, res, 0, true, true, anytime{})
-		s.writeJob(w, http.StatusOK, jobResponse{JobID: id, State: jobDone, Result: &rr})
+		j := &jobRecord{id: id, requestID: obs.RequestIDFrom(r.Context()), state: jobDone, o: cacheHit(res)}
+		writeJSON(w, http.StatusOK, s.jobResponseFor(j))
 		return
 	}
 	if s.cfg.CheckpointDir != "" && fileExists(filepath.Join(s.cfg.CheckpointDir, id, graphFileName)) {
-		s.writeJob(w, http.StatusOK, jobResponse{JobID: id, State: jobRunning})
+		writeJSON(w, http.StatusOK, jobResponse{JobID: id, State: jobRunning})
 		return
 	}
-	s.writeJob(w, http.StatusNotFound, jobResponse{JobID: id, State: jobUnknown})
+	writeJSON(w, http.StatusNotFound, jobResponse{JobID: id, State: jobUnknown})
 }
 
 // jobResponseFor snapshots a record into the wire schema.
-func (s *Server) jobResponseFor(j *jobRecord, key string) jobResponse {
-	state, res := s.jobs.view(j)
-	out := jobResponse{JobID: key, State: state}
+func (s *Server) jobResponseFor(j *jobRecord) jobResponse {
+	state, o := s.jobs.view(j)
+	out := jobResponse{JobID: j.id, State: state}
 	if state == jobDone || state == jobCancelled {
-		rr := s.buildResponse(j.requestID, key, res, 0, false, state == jobDone, j.at)
+		rr := s.buildResponse(j.requestID, j.id, j.at, o)
 		out.Result = &rr
 	}
 	return out
-}
-
-func (s *Server) writeJob(w http.ResponseWriter, code int, jr jobResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(jr)
 }

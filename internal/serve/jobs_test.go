@@ -73,6 +73,10 @@ func TestJobSubmitPollComplete(t *testing.T) {
 	if done.Result == nil || done.Result.Diameter != 149 {
 		t.Fatalf("done job result = %+v, want diameter 149", done.Result)
 	}
+	if r := done.Result; r.ElapsedNS <= 0 || r.ResultCacheHit || r.GraphCacheHit {
+		t.Fatalf("solved job reports elapsed_ns %d, result_cache_hit %v, graph_cache_hit %v; want > 0, false, false",
+			r.ElapsedNS, r.ResultCacheHit, r.GraphCacheHit)
+	}
 	if reg.Counter("fdiamd_jobs_submitted_total", "").Value() != 1 ||
 		reg.Counter("fdiamd_jobs_completed_total", "").Value() != 1 {
 		t.Error("job counters did not record the lifecycle")
@@ -83,6 +87,9 @@ func TestJobSubmitPollComplete(t *testing.T) {
 	resp2, job2 := postJob(t, ts.URL, "", body)
 	if resp2.StatusCode != http.StatusOK || job2.State != jobDone || job2.Result == nil {
 		t.Fatalf("resubmit = %d %+v; want immediate done", resp2.StatusCode, job2)
+	}
+	if !job2.Result.ResultCacheHit {
+		t.Fatalf("resubmit answered from the cache reports result_cache_hit false: %+v", job2.Result)
 	}
 }
 
@@ -127,6 +134,12 @@ func TestJobBadRequests(t *testing.T) {
 	hook.Body.Close()
 	if hook.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "webhook: not supported; poll GET /jobs/{id}") {
 		t.Errorf("?webhook=: %d %q, want 400 naming polling", hook.StatusCode, msg)
+	}
+	// Streams and traces exist only on /diameter; a job cannot deliver them.
+	for _, query := range []string{"?stream=bounds", "?trace=1"} {
+		if resp, _ := postJob(t, ts.URL, query, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", query, resp.StatusCode)
+		}
 	}
 	if resp, _ := postJob(t, ts.URL, "", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty body: %d, want 400", resp.StatusCode)

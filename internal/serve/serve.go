@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -313,125 +313,50 @@ type response struct {
 	Stats *core.Stats     `json:"stats,omitempty"`
 }
 
+// handleDiameter is the synchronous entry point of the solve pipeline
+// (DESIGN.md §9): it runs the solve inline, or under a bound subscription
+// for ?stream=bounds, and answers with the outcome.
 func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a graph file (fdiam binary, Matrix Market, DIMACS or edge list)", http.StatusMethodNotAllowed)
-		return
-	}
-	s.mRequests.Inc()
-	if faultHandlerPanic.Hit() {
-		panic("injected handler panic (serve.handler_panic)")
-	}
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	lg := obs.LoggerFrom(r.Context())
-
-	q := r.URL.Query()
-	streamBounds := q.Get("stream") == "bounds"
-	if mode := q.Get("stream"); mode != "" && !streamBounds {
-		http.Error(w, fmt.Sprintf("stream: unknown mode %q (only \"bounds\")", mode), http.StatusBadRequest)
-		return
-	}
-	wantTrace := q.Get("trace") == "1"
-	at, err := parseAnytime(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	timeout, err := s.requestTimeout(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	data, status, err := s.requestGraphBytes(w, r)
-	if err != nil {
-		// The access log records the status; this line adds the cause
-		// (staged-read failures especially), still under this request_id.
-		lg.Warn("graph_read_failed", obs.KeyError, err.Error())
-		http.Error(w, err.Error(), status)
-		return
-	}
-	sum := sha256.Sum256(data)
-	key := hex.EncodeToString(sum[:])
-
-	// Result cache first: a finished diameter is a pure function of the
-	// graph content, so repeat requests skip admission entirely. An exact
-	// entry under the bare key satisfies every request (its gap is 0 ≤ any
-	// ε); an anytime request additionally accepts an approximate entry
-	// cached under its own parameter-qualified key.
-	if res, ok := s.lookupResult(key, at); ok {
-		s.mResultHits.Inc()
-		if streamBounds {
-			s.streamCached(w, r, key, res, at)
-			return
+	var streamBounds, wantTrace bool
+	req, ok := s.intake(w, r, "POST a graph file (fdiam binary, Matrix Market, DIMACS or edge list)", func(q url.Values) error {
+		streamBounds, wantTrace = q.Get("stream") == "bounds", q.Get("trace") == "1"
+		if mode := q.Get("stream"); mode != "" && !streamBounds {
+			return fmt.Errorf("stream: unknown mode %q (only \"bounds\")", mode)
 		}
-		s.writeResult(w, r, key, res, 0, true, true, nil, at)
+		return nil
+	})
+	if !ok {
 		return
 	}
-
-	g, hit := s.graphs.get(key)
-	if !hit {
-		parsed, err := graphio.ReadAuto(data)
-		if err != nil {
-			http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
-			return
+	var traceBuf *bytes.Buffer
+	respond := func(o outcome) response {
+		out := s.buildResponse(obs.RequestIDFrom(r.Context()), req.key, req.at, o)
+		if traceBuf != nil {
+			out.Trace = json.RawMessage(traceBuf.Bytes())
 		}
-		g = parsed
+		return out
 	}
-	var ck core.CheckpointOptions
-	if s.cfg.CheckpointDir != "" {
-		ck = s.checkpointOptions(key, data)
-	}
-	data = nil // the CSR form is all that is retained past this point
-
-	// Admission: running + queued may not exceed the configured bound.
-	if admitted := s.admitted.Add(1); admitted > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
-		s.admitted.Add(-1)
-		s.mRejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		http.Error(w, "solver queue full", http.StatusTooManyRequests)
+	o, cached, err := s.load(req)
+	switch {
+	case err != nil:
+		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
+		return
+	case cached && streamBounds:
+		streamCached(w, respond(o))
+		return
+	case cached:
+		writeJSON(w, http.StatusOK, respond(o))
 		return
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
-	defer s.admitted.Add(-1)
-
-	s.gQueued.Add(1)
-	queueStart := s.hQueueWait.StartTimer()
-	select {
-	case s.slots <- struct{}{}:
-		s.gQueued.Add(-1)
-		s.hQueueWait.ObserveSince(queueStart)
-	case <-r.Context().Done():
-		s.gQueued.Add(-1)
-		return // client went away while queued; nothing to write
-	case <-s.baseCtx.Done():
-		s.gQueued.Add(-1)
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if !s.admit(w, req) {
 		return
 	}
-	defer func() { <-s.slots }()
-
-	// The solve context layers shutdown (baseCtx), the client connection
-	// and the per-request deadline: whichever fires first stops the run
-	// at its next BFS level boundary. The request's logger and ID are
-	// re-attached because baseCtx is deliberately not a child of the
-	// request context (a drain must not wait on slow clients).
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	stopClientWatch := context.AfterFunc(r.Context(), cancel)
-	defer stopClientWatch()
-	ctx = obs.ContextWithRequestID(obs.ContextWithLogger(ctx, lg), obs.RequestIDFrom(r.Context()))
+	defer s.release()
 
 	// Request-scoped observability run: bound streaming subscribes to it,
 	// ?trace=1 captures its Chrome trace. Plain solves keep a nil tracer —
 	// the zero-cost default.
 	var run *obs.Run
-	var traceBuf *bytes.Buffer
 	if streamBounds || wantTrace {
 		runCfg := obs.Config{Registry: s.cfg.Registry}
 		if wantTrace {
@@ -440,48 +365,191 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 		}
 		run = obs.NewRun(runCfg)
 	}
-	opt := core.Options{Workers: s.cfg.Workers, Timeout: timeout, Checkpoint: ck, Trace: run,
-		Epsilon: at.solverEpsilon()}
-	if at.approx {
-		// The estimator's sampling seed derives from the graph's content
-		// hash: the same graph with the same budget produces the same
-		// corridor on every request, matching the cache's promise.
-		opt.Approx = core.ApproxOptions{Sweeps: at.sweeps, Seed: binary.BigEndian.Uint64(sum[:8])}
-	}
-
-	s.gInflight.Add(1)
-	start := time.Now()
 	if streamBounds {
-		sg := solveGraph{solve: func(ctx context.Context) core.Result {
-			return core.DiameterCtx(ctx, g, opt)
-		}}
-		resp := func(res core.Result) response {
-			out := s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, time.Since(start), hit, false, at)
-			if traceBuf != nil {
-				out.Trace = json.RawMessage(traceBuf.Bytes())
-			}
-			return out
-		}
-		res, _ := s.streamSolve(ctx, w, run, sg, resp)
-		s.gInflight.Add(-1)
-		s.publishOutcome(key, g, hit, res, at)
+		streamSolve(w, run, func() (response, bool) {
+			o, ran := s.solve(r.Context(), req, run)
+			return respond(o), ran
+		})
 		return
 	}
-	res := core.DiameterCtx(ctx, g, opt)
-	if run != nil {
-		_ = run.Finish()
+	o, ran := s.solve(r.Context(), req, run)
+	if !ran {
+		if s.baseCtx.Err() != nil {
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+		}
+		return // otherwise the client went away while queued; nothing to write
 	}
+	writeJSON(w, http.StatusOK, respond(o))
+}
+
+// request carries one solve through the pipeline every entry point shares:
+// intake → load → admit → solve (DESIGN.md §9).
+type request struct {
+	key      string // hex SHA-256 of the serialized graph
+	at       anytime
+	timeout  time.Duration
+	data     []byte // the serialized graph; dropped once the checkpoint is armed
+	g        *graph.Graph
+	graphHit bool
+	ck       core.CheckpointOptions
+}
+
+// outcome is what a response is built from: the result plus the cache
+// layers that produced it.
+type outcome struct {
+	res       core.Result
+	elapsed   time.Duration // solve time only; zero for a result-cache hit
+	graphHit  bool
+	resultHit bool
+}
+
+// intake is the pipeline's first step for HTTP entry points: method and
+// drain checks, the endpoint's own query parameters (vet runs before the
+// body is read), the anytime and timeout parameters, the graph bytes, and
+// the content key. On failure it has written the error response.
+func (s *Server) intake(w http.ResponseWriter, r *http.Request, usage string, vet func(url.Values) error) (*request, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		http.Error(w, usage, http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	s.mRequests.Inc()
+	if faultHandlerPanic.Hit() {
+		panic("injected handler panic (serve.handler_panic)")
+	}
+	if s.draining.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return nil, false
+	}
+	q := r.URL.Query()
+	if err := vet(q); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	at, err := parseAnytime(q)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	timeout, err := s.requestTimeout(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	data, status, err := s.requestGraphBytes(w, r)
+	if err != nil {
+		// The access log records the status; this line adds the cause
+		// (staged-read failures especially), still under this request_id.
+		obs.LoggerFrom(r.Context()).Warn("graph_read_failed", obs.KeyError, err.Error())
+		http.Error(w, err.Error(), status)
+		return nil, false
+	}
+	sum := sha256.Sum256(data)
+	return &request{key: hex.EncodeToString(sum[:]), at: at, timeout: timeout, data: data}, true
+}
+
+// load is the pipeline's second step. A finished diameter is a pure
+// function of the graph content, so a result-cache hit answers without
+// admission or solve (cached is true); otherwise req.g comes from the graph
+// cache or is parsed from req.data.
+func (s *Server) load(req *request) (o outcome, cached bool, err error) {
+	if res, ok := s.lookupResult(req.key, req.at); ok {
+		s.mResultHits.Inc()
+		return cacheHit(res), true, nil
+	}
+	if req.g, req.graphHit = s.graphs.get(req.key); !req.graphHit {
+		if req.g, err = graphio.ReadAuto(req.data); err != nil {
+			return outcome{}, false, err
+		}
+	}
+	return outcome{}, false, nil
+}
+
+// cacheHit is the outcome of an answer served from the result cache.
+func cacheHit(res core.Result) outcome {
+	return outcome{res: res, graphHit: true, resultHit: true}
+}
+
+// admit is the pipeline's third step for requests: running + queued may
+// not exceed MaxConcurrent + MaxQueue, and only an admitted solve arms its
+// checkpoint directory, so a rejected request leaves nothing on disk. On
+// success the caller owns one ledger entry and one inflight count and
+// returns them with release; on failure admit has written the 429.
+func (s *Server) admit(w http.ResponseWriter, req *request) bool {
+	if admitted := s.admitted.Add(1); admitted > int64(s.cfg.MaxConcurrent+s.cfg.MaxQueue) {
+		s.admitted.Add(-1)
+		s.mRejected.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		http.Error(w, "solver queue full", http.StatusTooManyRequests)
+		return false
+	}
+	s.inflight.Add(1)
+	s.armCheckpoint(req)
+	return true
+}
+
+// release returns what a successful admit took.
+func (s *Server) release() {
+	s.admitted.Add(-1)
+	s.inflight.Done()
+}
+
+// solve is the pipeline's last step: wait for an execution slot, run the
+// solver, and publish the outcome. The wait and the run stop on whichever
+// fires first of shutdown (baseCtx) and parent — the client connection, a
+// job's detached request context, or the orphan-recovery bound — with the
+// per-request deadline applied to the run alone. ran is false when the wait
+// ended before a slot freed; the outcome then reads cancelled. A non-nil
+// run is finished before solve returns, which ends its bound subscriptions.
+func (s *Server) solve(parent context.Context, req *request, run *obs.Run) (o outcome, ran bool) {
+	if run != nil {
+		defer func() { _ = run.Finish() }()
+	}
+	// baseCtx is deliberately not a child of parent (a drain must not wait
+	// on slow clients), so parent's cancellation is bridged in and its
+	// logger and request ID are re-attached.
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	defer cancel()
+	defer context.AfterFunc(parent, cancel)()
+	ctx = obs.ContextWithRequestID(obs.ContextWithLogger(ctx, obs.LoggerFrom(parent)), obs.RequestIDFrom(parent))
+
+	s.gQueued.Add(1)
+	queueStart := s.hQueueWait.StartTimer()
+	select {
+	case s.slots <- struct{}{}:
+		s.gQueued.Add(-1)
+		s.hQueueWait.ObserveSince(queueStart)
+	case <-ctx.Done():
+		s.gQueued.Add(-1)
+		return outcome{res: core.Result{Cancelled: true}}, false
+	}
+	defer func() { <-s.slots }()
+
+	opt := core.Options{Workers: s.cfg.Workers, Timeout: req.timeout, Checkpoint: req.ck, Trace: run,
+		Epsilon: req.at.solverEpsilon()}
+	if req.at.approx {
+		// The estimator's sampling seed is the first 8 bytes of the content
+		// hash (req.key is its hex form; orphans, the only non-hash keys, are
+		// never approximate): the same graph with the same budget produces
+		// the same corridor from every entry point, matching the cache's
+		// promise.
+		seed, _ := strconv.ParseUint(req.key[:16], 16, 64)
+		opt.Approx = core.ApproxOptions{Sweeps: req.at.sweeps, Seed: seed}
+	}
+	s.gInflight.Add(1)
+	start := time.Now()
+	res := core.DiameterCtx(ctx, req.g, opt)
 	elapsed := time.Since(start)
 	s.gInflight.Add(-1)
-	s.publishOutcome(key, g, hit, res, at)
-	s.writeResult(w, r, key, res, elapsed, hit, false, traceBuf, at)
+	s.publishOutcome(req, res)
+	return outcome{res: res, elapsed: elapsed, graphHit: req.graphHit}, true
 }
 
 // publishOutcome settles a finished solve into the caches and counters: a
 // cancelled run leaves its checkpoint directory for resume, a completed one
 // publishes to both caches (unless the injected cache-write fault drops the
 // publication) and retires its checkpoint directory.
-func (s *Server) publishOutcome(key string, g *graph.Graph, graphHit bool, res core.Result, at anytime) {
+func (s *Server) publishOutcome(req *request, res core.Result) {
 	if res.Cancelled {
 		// A cancelled checkpointed solve deliberately leaves its directory
 		// behind: the snapshot inside is exactly what ResumeOrphans (or a
@@ -496,20 +564,20 @@ func (s *Server) publishOutcome(key string, g *graph.Graph, graphHit bool, res c
 		// Injected cache-write failure: the result is still served,
 		// only the caches stay cold for the next request.
 	} else {
-		if graphHit {
+		if req.graphHit {
 			s.mGraphHits.Inc()
 		} else {
 			s.mGraphMisses.Inc()
-			s.graphs.add(key, g)
+			s.graphs.add(req.key, req.g)
 			s.gGraphBytes.Set(s.graphs.bytes())
 		}
 		if res.Approximate {
 			// An open corridor is cached only under its parameter-qualified
 			// key: the bare content key is the exact-diameter promise, and
 			// an approximate entry must never be served against it.
-			s.results.addAnytime(at.cacheKey(key), res)
+			s.results.addAnytime(req.at.cacheKey(req.key), res)
 		} else {
-			s.results.add(key, res)
+			s.results.add(req.key, res)
 		}
 	}
 	if res.Approximate && !res.TimedOut {
@@ -519,13 +587,13 @@ func (s *Server) publishOutcome(key string, g *graph.Graph, graphHit bool, res c
 		// retirement behavior.
 		return
 	}
-	s.clearCheckpointDir(key)
+	s.clearCheckpointDir(req.key)
 }
 
-// lookupResult is the two-layer result-cache probe every entry point uses:
-// an exact entry under the bare content key satisfies any request, and an
-// anytime request additionally accepts an approximate entry cached under
-// its parameter-qualified key.
+// lookupResult is the two-layer result-cache probe: an exact entry under
+// the bare content key satisfies any request, and an anytime request
+// additionally accepts an approximate entry cached under its
+// parameter-qualified key.
 func (s *Server) lookupResult(key string, at anytime) (core.Result, bool) {
 	if res, ok := s.results.get(key); ok {
 		return res, true
@@ -677,31 +745,35 @@ func (s *Server) readStagedOnce(name string) ([]byte, int, error) {
 // input without the original client.
 const graphFileName = "graph"
 
-// checkpointOptions prepares <CheckpointDir>/<key>/ for one solve: the raw
-// graph bytes are persisted beside the future snapshot (write-then-rename,
-// so a crash mid-write never leaves a torn copy), and an existing snapshot
-// from a previous process is selected for resume. Failures disable
-// checkpointing for this solve rather than failing it.
-func (s *Server) checkpointOptions(key string, data []byte) core.CheckpointOptions {
-	dir := filepath.Join(s.cfg.CheckpointDir, key)
+// armCheckpoint prepares <CheckpointDir>/<key>/ for one solve and drops
+// req.data: the raw graph bytes are persisted beside the future snapshot
+// (write-then-rename, so a crash mid-write never leaves a torn copy), and an
+// existing snapshot from a previous process is selected for resume.
+// Failures disable checkpointing for this solve rather than failing it.
+func (s *Server) armCheckpoint(req *request) {
+	data := req.data
+	req.data = nil // the CSR form is all that is retained past this point
+	if s.cfg.CheckpointDir == "" {
+		return
+	}
+	dir := filepath.Join(s.cfg.CheckpointDir, req.key)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return core.CheckpointOptions{}
+		return
 	}
 	gpath := filepath.Join(dir, graphFileName)
 	if _, err := os.Stat(gpath); err != nil {
 		tmp := gpath + ".tmp"
 		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return core.CheckpointOptions{}
+			return
 		}
 		if err := os.Rename(tmp, gpath); err != nil {
-			return core.CheckpointOptions{}
+			return
 		}
 	}
-	ck := core.CheckpointOptions{Dir: dir, Every: s.cfg.CheckpointEvery}
+	req.ck = core.CheckpointOptions{Dir: dir, Every: s.cfg.CheckpointEvery}
 	if snap := filepath.Join(dir, checkpoint.FileName); fileExists(snap) {
-		ck.ResumeFrom = snap
+		req.ck.ResumeFrom = snap
 	}
-	return ck
 }
 
 // clearCheckpointDir retires a completed solve's checkpoint directory (the
@@ -749,10 +821,16 @@ func (s *Server) ResumeOrphans(ctx context.Context) int {
 	return ran
 }
 
-// resumeOrphan re-runs one orphaned solve. A directory without a readable,
-// parsable graph copy is garbage from a crash mid-setup and is removed; a
-// solve cancelled by shutdown leaves its (freshly re-written) snapshot for
-// the next boot.
+// resumeOrphan re-runs one orphaned solve through the load and solve steps
+// with a plain exact request: orphans are not requests, so they take no
+// admission-ledger entry, but they wait for the same slot pool and publish
+// like any solve. anytime{} finishes the orphan exactly (Epsilon −1): a
+// snapshot left by an ε-stopped request must not re-stop at its recorded
+// tolerance and launder an approximate corridor into the bare-key result
+// cache. A directory without a readable, parsable graph copy is garbage
+// from a crash mid-setup and is removed, as is one whose exact answer is
+// already cached; a solve cancelled by shutdown leaves its (freshly
+// re-written) snapshot for the next boot.
 func (s *Server) resumeOrphan(ctx context.Context, key string) bool {
 	dir := filepath.Join(s.cfg.CheckpointDir, key)
 	data, err := os.ReadFile(filepath.Join(dir, graphFileName))
@@ -760,67 +838,30 @@ func (s *Server) resumeOrphan(ctx context.Context, key string) bool {
 		_ = os.RemoveAll(dir)
 		return false
 	}
-	g, err := graphio.ReadAuto(data)
-	if err != nil {
+	req := &request{key: key, data: data}
+	_, cached, err := s.load(req)
+	if err != nil || cached {
 		_ = os.RemoveAll(dir)
 		return false
 	}
-	ck := core.CheckpointOptions{Dir: dir, Every: s.cfg.CheckpointEvery}
-	if snap := filepath.Join(dir, checkpoint.FileName); fileExists(snap) {
-		ck.ResumeFrom = snap
-	}
-
+	s.armCheckpoint(req)
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	select {
-	case s.slots <- struct{}{}:
-	case <-s.baseCtx.Done():
-		return false
-	case <-ctx.Done():
-		return false
-	}
-	defer func() { <-s.slots }()
-
-	// The solve stops on whichever fires first: server shutdown (baseCtx)
-	// or the caller's recovery bound (ctx). As with request solves, the
-	// solve context is a child of baseCtx, with the caller's cancellation
-	// bridged in rather than parented.
-	solveCtx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	defer context.AfterFunc(ctx, cancel)()
-
-	s.gInflight.Add(1)
-	// Epsilon -1 finishes the orphan exactly: a snapshot left by an
-	// ε-stopped request must not re-stop at its recorded tolerance and
-	// launder an approximate corridor into the bare-key result cache.
-	res := core.DiameterCtx(solveCtx, g, core.Options{Workers: s.cfg.Workers, Checkpoint: ck, Epsilon: -1})
-	s.gInflight.Add(-1)
-
-	if res.Cancelled {
-		s.mCancelled.Inc()
-		return true
-	}
-	if res.Resumed {
-		s.mResumes.Inc()
-	}
-	s.graphs.add(key, g)
-	s.gGraphBytes.Set(s.graphs.bytes())
-	s.results.add(key, res)
-	s.clearCheckpointDir(key)
-	return true
+	_, ran := s.solve(ctx, req, nil)
+	return ran
 }
 
 // buildResponse takes the request ID as a plain string rather than the
 // *http.Request so async jobs — which outlive their submitting request —
 // can build the same payload.
-func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed time.Duration, graphHit, resultHit bool, at anytime) response {
+func (s *Server) buildResponse(requestID, key string, at anytime, o outcome) response {
 	witness := func(v uint32) int64 {
 		if v == graph.NoVertex {
 			return -1
 		}
 		return int64(v)
 	}
-	stats := res.Stats
+	res := o.res
 	return response{
 		Diameter:       res.Diameter,
 		Infinite:       res.Infinite,
@@ -834,22 +875,17 @@ func (s *Server) buildResponse(requestID, key string, res core.Result, elapsed t
 		Mode:           at.mode(),
 		WitnessA:       witness(res.WitnessA),
 		WitnessB:       witness(res.WitnessB),
-		ElapsedNS:      elapsed.Nanoseconds(),
+		ElapsedNS:      o.elapsed.Nanoseconds(),
 		GraphHash:      key,
-		GraphCacheHit:  graphHit,
-		ResultCacheHit: resultHit,
+		GraphCacheHit:  o.graphHit,
+		ResultCacheHit: o.resultHit,
 		RequestID:      requestID,
-		Stats:          &stats,
+		Stats:          &res.Stats,
 	}
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, key string, res core.Result,
-	elapsed time.Duration, graphHit, resultHit bool, traceBuf *bytes.Buffer, at anytime) {
-	resp := s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, elapsed, graphHit, resultHit, at)
-	if traceBuf != nil {
-		resp.Trace = json.RawMessage(traceBuf.Bytes())
-	}
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(resp)
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -22,6 +22,7 @@ import (
 	"fdiam/internal/fault"
 	"fdiam/internal/gen"
 	"fdiam/internal/graphio"
+	"fdiam/internal/obs"
 )
 
 func TestHandlerPanicFaultRecovered(t *testing.T) {
@@ -143,6 +144,28 @@ func TestCheckpointDirLifecycle(t *testing.T) {
 	}
 }
 
+// TestQueueFullLeavesNoCheckpoint: only an admitted solve persists its graph
+// copy. A 429 that left one behind would poll as a running job that never
+// started, and the next boot's ResumeOrphans would solve it.
+func TestQueueFullLeavesNoCheckpoint(t *testing.T) {
+	ckDir := t.TempDir()
+	s, ts, _ := newTestServer(t, Config{Workers: 1, MaxConcurrent: 1, MaxQueue: 1, CheckpointDir: ckDir})
+	s.admitted.Add(2) // saturate admission, as TestQueueFullRejects does
+	defer s.admitted.Add(-2)
+
+	body := pathGraphBytes(t, 50)
+	if resp, _ := postGraph(t, ts, "", body); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity request: status %d, want 429", resp.StatusCode)
+	}
+	id := jobKey(body)
+	if _, err := os.Stat(filepath.Join(ckDir, id)); !os.IsNotExist(err) {
+		t.Fatalf("rejected request left a checkpoint directory: %v", err)
+	}
+	if code, out := pollJob(t, ts.URL, id); code != http.StatusNotFound || out.State != jobUnknown {
+		t.Fatalf("poll after 429 = %d %+v, want 404 unknown", code, out)
+	}
+}
+
 // orphanWithSnapshot interrupts a direct solver run to manufacture a genuine
 // crash artifact — per-graph dir with the serialized graph and a mid-solve
 // snapshot — retrying until the cancellation lands inside the main loop.
@@ -216,6 +239,11 @@ func TestResumeOrphans(t *testing.T) {
 	}
 	if withSnap && reg.Counter("fdiamd_resumes_total", "").Value() != 1 {
 		t.Fatal("snapshot orphan did not count as a resume")
+	}
+	// Orphans wait for the same slot pool as request solves, and are
+	// accounted for the same way.
+	if waits := reg.Histogram("fdiamd_queue_wait_seconds", "", obs.HistogramOpts{}).Count(); waits != int64(ran) {
+		t.Fatalf("queue-wait histogram counted %d waits, want %d (one per orphan solve)", waits, ran)
 	}
 	// Finished orphans retire their directories; the junk dir is swept too.
 	left, err := os.ReadDir(ckDir)

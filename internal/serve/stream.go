@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"fdiam/internal/core"
-	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
 
@@ -150,28 +148,28 @@ func (s *Server) handleProgressStream(w http.ResponseWriter, r *http.Request) {
 // streamSolve runs one admitted solve while streaming its bound corridor as
 // SSE (`POST /diameter?stream=bounds`). Every corridor tightening becomes a
 // `bound` event; the terminal `result` event carries the same response JSON
-// a non-streaming request would have received. The solve is cancelled by
-// the same layered context as a plain solve (drain, client disconnect,
-// deadline), and the subscriber channel closing is what ends the loop — the
-// solver's Finish guarantees that.
-func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
-	run *obs.Run, g solveGraph, resp func(core.Result) response) (core.Result, bool) {
+// a non-streaming request would have received. solve runs the pipeline's
+// solve step under the subscribed run, which finishes the run and so closes
+// the subscriber channel that ends the event loop. A solve that never got a
+// slot (drain or disconnect while queued) ends the stream without a result.
+func streamSolve(w http.ResponseWriter, run *obs.Run, solve func() (response, bool)) {
 	fl, ok := sseStart(w)
 	if !ok {
 		// Admission was already paid; solve anyway and discard the stream.
-		res := g.solve(ctx)
-		return res, false
+		solve()
+		return
 	}
 	ch, cancelSub := run.SubscribeBounds(64)
 	defer cancelSub()
-	done := make(chan core.Result, 1)
+	type reply struct {
+		resp response
+		ran  bool
+	}
+	done := make(chan reply, 1)
 	//fdiamlint:ignore nakedgo solve worker for one SSE request; joined via the done channel before return
 	go func() {
-		res := g.solve(ctx)
-		// Finish closes every bound subscriber, ending the event loop
-		// below even if the client is still connected.
-		_ = run.Finish()
-		done <- res
+		resp, ran := solve()
+		done <- reply{resp, ran}
 	}()
 	for ev := range ch {
 		if writeSSE(w, fl, sseEventBound, ev) != nil {
@@ -180,9 +178,9 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
 			break
 		}
 	}
-	res := <-done
-	_ = writeSSE(w, fl, sseEventResult, resp(res))
-	return res, true
+	if rep := <-done; rep.ran {
+		_ = writeSSE(w, fl, sseEventResult, rep.resp)
+	}
 }
 
 // streamCached serves a result-cache hit in streaming form: one bound event
@@ -190,27 +188,13 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter,
 // so clients see the same protocol shape whether or not the solve actually
 // ran. For an exact entry the corridor is collapsed (lb == ub == diameter);
 // an approximate entry keeps its honest open corridor [diameter, upper].
-func (s *Server) streamCached(w http.ResponseWriter, r *http.Request, key string, res core.Result, at anytime) {
+func streamCached(w http.ResponseWriter, resp response) {
 	fl, ok := sseStart(w)
 	if !ok {
 		return
 	}
-	witness := func(v uint32) int64 {
-		if v == graph.NoVertex {
-			return -1
-		}
-		return int64(v)
-	}
 	_ = writeSSE(w, fl, sseEventBound, obs.BoundEvent{
-		LB: int64(res.Diameter), UB: int64(res.Upper),
-		WitnessA: witness(res.WitnessA), WitnessB: witness(res.WitnessB),
+		LB: int64(resp.Diameter), UB: int64(resp.Upper), WitnessA: resp.WitnessA, WitnessB: resp.WitnessB,
 	})
-	_ = writeSSE(w, fl, sseEventResult, s.buildResponse(obs.RequestIDFrom(r.Context()), key, res, 0, true, true, at))
-}
-
-// solveGraph packages the one-shot solve closure handed to streamSolve so
-// the streaming path runs exactly the solver invocation the plain path
-// would.
-type solveGraph struct {
-	solve func(context.Context) core.Result
+	_ = writeSSE(w, fl, sseEventResult, resp)
 }
