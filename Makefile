@@ -61,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -tags fdiam.checked -fuzz=FuzzDiameterMatchesNaive -fuzztime=15s -run='^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzReadAuto -fuzztime=15s -run='^$$' ./internal/graphio/
 	$(GO) test -fuzz=FuzzReadMETIS -fuzztime=15s -run='^$$' ./internal/graphio/
+	$(GO) test -fuzz=FuzzEdgeListMatchesReference -fuzztime=15s -run='^$$' ./internal/graphio/
 
 # chaos runs the crash-safety end-to-end test: build a real fdiamd, kill -9
 # it mid-solve, restart it over the same -checkpoint-dir, and verify the

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is an undirected edge between two vertices.
@@ -50,6 +50,12 @@ func (b *Builder) AddEdge(a, c Vertex) {
 	b.edges = append(b.edges, Edge{a, c})
 }
 
+// ReserveEdges makes room for m more edges, so a loader that can estimate
+// its edge count up front appends without regrowing.
+func (b *Builder) ReserveEdges(m int) {
+	b.edges = slices.Grow(b.edges, m)
+}
+
 // AddEdges records a batch of undirected edges.
 func (b *Builder) AddEdges(edges []Edge) {
 	for _, e := range edges {
@@ -65,53 +71,61 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // recorded edges are retained.
 func (b *Builder) Build() *Graph {
 	n := b.n
-	// Count arcs per vertex (both directions), skipping self-loops.
+	// offsets[v+1] counts v's arcs (both directions, self-loops skipped);
+	// the prefix sum then makes offsets[v] the start of v's row.
 	offsets := make([]int64, n+1)
 	for _, e := range b.edges {
-		if e.A == e.B {
-			continue
+		if e.A != e.B {
+			offsets[e.A+1]++
+			offsets[e.B+1]++
 		}
-		offsets[e.A+1]++
-		offsets[e.B+1]++
 	}
-	for v := 0; v < n; v++ {
+	for v := range n {
 		offsets[v+1] += offsets[v]
 	}
+	// Fill with offsets[v] as v's write cursor; afterwards offsets[v] is
+	// the end of row v.
 	targets := make([]Vertex, offsets[n])
-	cursor := make([]int64, n)
 	for _, e := range b.edges {
-		if e.A == e.B {
-			continue
-		}
-		targets[offsets[e.A]+cursor[e.A]] = e.B
-		cursor[e.A]++
-		targets[offsets[e.B]+cursor[e.B]] = e.A
-		cursor[e.B]++
-	}
-	// Sort each adjacency list and drop duplicates in place, then
-	// compact the target array.
-	newOffsets := make([]int64, n+1)
-	write := int64(0)
-	for v := 0; v < n; v++ {
-		adj := targets[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-		newOffsets[v] = write
-		var prev Vertex
-		first := true
-		for _, t := range adj {
-			if !first && t == prev {
-				continue
-			}
-			targets[write] = t
-			write++
-			prev = t
-			first = false
+		if e.A != e.B {
+			targets[offsets[e.A]] = e.B
+			offsets[e.A]++
+			targets[offsets[e.B]] = e.A
+			offsets[e.B]++
 		}
 	}
-	newOffsets[n] = write
-	g := &Graph{offsets: newOffsets, targets: targets[:write:write]}
+	// Sort and deduplicate each row, compacting the target array and
+	// rewriting offsets[v] to the row's final start as we go. Rows filled
+	// from an edge list in id order (the serializers' output, most
+	// generators) arrive sorted and unique and are left as they are.
+	var lo, write int64
+	for v := range n {
+		hi := offsets[v]
+		row := targets[lo:hi]
+		if !strictlyIncreasing(row) {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		offsets[v] = write
+		if write != lo {
+			copy(targets[write:], row)
+		}
+		write += int64(len(row))
+		lo = hi
+	}
+	offsets[n] = write
+	g := &Graph{offsets: offsets, targets: targets[:write:write]}
 	g.maxDegV = scanMaxDegree(g)
 	return g
+}
+
+func strictlyIncreasing(row []Vertex) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i-1] >= row[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // FromEdges is a convenience wrapper that builds a graph with n vertices

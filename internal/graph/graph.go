@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Vertex is a dense vertex identifier in [0, NumVertices).
@@ -142,10 +143,12 @@ func (g *Graph) Offsets() []int64 { return g.offsets }
 // The returned slice must not be modified.
 func (g *Graph) Targets() []Vertex { return g.targets }
 
-// FromCSR builds a Graph directly from prevalidated CSR arrays. It is used
-// by the binary graph loader and by generators that produce CSR natively.
-// The arrays are adopted, not copied; the caller must not modify them
-// afterwards. Returns an error if the arrays are structurally invalid.
+// FromCSR builds a Graph directly from CSR arrays, as the binary graph
+// loader reads them. The arrays are adopted, not copied; the caller must
+// not modify them afterwards. It returns an error unless the arrays
+// describe a simple undirected graph: monotone offsets, in-range targets,
+// strictly increasing rows without self-loops, and a back arc t→v for
+// every arc v→t. Every check runs in O(n + m).
 func FromCSR(offsets []int64, targets []Vertex) (*Graph, error) {
 	if len(offsets) == 0 {
 		if len(targets) != 0 {
@@ -165,9 +168,30 @@ func FromCSR(offsets []int64, targets []Vertex) (*Graph, error) {
 			return nil, fmt.Errorf("graph: CSR offsets decrease at vertex %d", v)
 		}
 	}
-	for i, t := range targets {
-		if int(t) >= n {
-			return nil, fmt.Errorf("graph: CSR target %d at position %d out of range [0,%d)", t, i, n)
+	for v := 0; v < n; v++ {
+		row := targets[offsets[v]:offsets[v+1]]
+		for i, t := range row {
+			switch {
+			case int(t) >= n:
+				return nil, fmt.Errorf("graph: CSR target %d at position %d out of range [0,%d)", t, offsets[v]+int64(i), n)
+			case t == Vertex(v):
+				return nil, fmt.Errorf("graph: CSR self-loop at vertex %d", v)
+			case i > 0 && row[i-1] >= t:
+				return nil, fmt.Errorf("graph: CSR row %d not strictly increasing at position %d", v, i)
+			}
+		}
+	}
+	// cursor[t] is the next unmatched slot of row t. Scanning v in
+	// ascending order, t's in-neighbours arrive in ascending order too, so
+	// in a symmetric graph each arc v→t finds v at row t's cursor. Every
+	// arc then matches one slot, which accounts for every slot.
+	cursor := slices.Clone(offsets[:n])
+	for v := 0; v < n; v++ {
+		for _, t := range targets[offsets[v]:offsets[v+1]] {
+			if cursor[t] == offsets[t+1] || targets[cursor[t]] != Vertex(v) {
+				return nil, fmt.Errorf("graph: CSR arc %d→%d has no back arc", v, t)
+			}
+			cursor[t]++
 		}
 	}
 	g := &Graph{offsets: offsets, targets: targets}

@@ -149,6 +149,12 @@ func TestFromCSRValidation(t *testing.T) {
 		{"decreasing", []int64{0, 2, 1, 2}, []Vertex{1, 2}, false},
 		{"target-oob", []int64{0, 1, 2}, []Vertex{1, 5}, false},
 		{"empty-offsets-with-targets", []int64{}, []Vertex{0}, false},
+		{"directed-path", []int64{0, 1, 2, 2}, []Vertex{1, 2}, false},
+		{"missing-one-back-arc", []int64{0, 2, 3, 4}, []Vertex{1, 2, 0, 1}, false},
+		{"self-loop", []int64{0, 2, 3}, []Vertex{0, 1, 0}, false},
+		{"unsorted-row", []int64{0, 2, 3, 4}, []Vertex{2, 1, 0, 0}, false},
+		{"duplicate-arc", []int64{0, 2, 4}, []Vertex{1, 1, 0, 0}, false},
+		{"triangle", []int64{0, 2, 4, 6}, []Vertex{1, 2, 0, 2, 0, 1}, true},
 	}
 	for _, c := range cases {
 		_, err := FromCSR(c.offsets, c.targets)

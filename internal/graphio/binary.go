@@ -48,23 +48,23 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 // regular files) the header's declared counts are checked against it BEFORE
 // the offset/target arrays are allocated — the format's fixed layout makes
 // the requirement exact, so a 24-byte header claiming 2²⁶ vertices is
-// rejected without allocating its half-gigabyte offset array.
+// rejected without allocating its half-gigabyte offset array. The arrays
+// are decoded through one fixed-size chunk, never staged whole.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	size, sizeKnown := inputSize(r)
-	br := bufio.NewReaderSize(faultWrap(r), 1<<20)
-	magic := make([]byte, 8)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	fr := faultWrap(r)
+	var hdr [24]byte
+	if _, err := io.ReadFull(fr, hdr[:8]); err != nil {
 		return nil, fmt.Errorf("graphio: binary: %w", err)
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graphio: binary: bad magic %q", magic)
+	if string(hdr[:8]) != binaryMagic {
+		return nil, fmt.Errorf("graphio: binary: bad magic %q", hdr[:8])
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr, hdr[8:]); err != nil {
 		return nil, fmt.Errorf("graphio: binary: %w", err)
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:8])
-	arcs := binary.LittleEndian.Uint64(hdr[8:16])
+	n := binary.LittleEndian.Uint64(hdr[8:16])
+	arcs := binary.LittleEndian.Uint64(hdr[16:24])
 	if n > uint64(MaxVertices) {
 		return nil, fmt.Errorf("graphio: binary: vertex count %d exceeds MaxVertices (%d)", n, MaxVertices)
 	}
@@ -79,21 +79,39 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 				n, arcs, need, size)
 		}
 	}
+	chunk := make([]byte, 64<<10)
 	offsets := make([]int64, n+1)
-	raw := make([]byte, 8*(n+1))
-	if _, err := io.ReadFull(br, raw); err != nil {
+	if err := readChunks(fr, chunk, len(offsets), 8, func(i int, b []byte) {
+		for ; len(b) > 0; b = b[8:] {
+			offsets[i] = int64(binary.LittleEndian.Uint64(b))
+			i++
+		}
+	}); err != nil {
 		return nil, fmt.Errorf("graphio: binary: offsets: %w", err)
 	}
-	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
 	targets := make([]graph.Vertex, arcs)
-	raw = make([]byte, 4*arcs)
-	if _, err := io.ReadFull(br, raw); err != nil {
+	if err := readChunks(fr, chunk, len(targets), 4, func(i int, b []byte) {
+		for ; len(b) > 0; b = b[4:] {
+			targets[i] = binary.LittleEndian.Uint32(b)
+			i++
+		}
+	}); err != nil {
 		return nil, fmt.Errorf("graphio: binary: targets: %w", err)
 	}
-	for i := range targets {
-		targets[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
 	return graph.FromCSR(offsets, targets)
+}
+
+// readChunks reads count elements of width bytes each from r, one chunk
+// at a time, and hands decode each chunk with the index of its first
+// element.
+func readChunks(r io.Reader, chunk []byte, count, width int, decode func(first int, b []byte)) error {
+	per := len(chunk) / width
+	for i := 0; i < count; i += per {
+		b := chunk[:min(per, count-i)*width]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return err
+		}
+		decode(i, b)
+	}
+	return nil
 }

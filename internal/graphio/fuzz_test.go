@@ -21,6 +21,12 @@ func FuzzReadAuto(f *testing.F) {
 	f.Add([]byte("FDIAMG01\x10\x00\x00\x00\x00\x00\x00\x00\x20\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add([]byte("p sp 5 99999999\na 1 2 1\n"))
 	f.Add([]byte("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 88888888\n1 2\n"))
+	// A directed path 0→1→2 in binary CSR: structurally sound offsets and
+	// targets, but not a simple undirected graph.
+	f.Add([]byte("FDIAMG01\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00" +
+		"\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00" +
+		"\x01\x00\x00\x00\x02\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return

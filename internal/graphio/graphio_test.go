@@ -36,6 +36,49 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	sameGraph(t, g, got)
 }
 
+// TestEdgeListMaxVertexHeader: the "# max-vertex" line WriteEdgeList emits
+// keeps isolated trailing vertices, so the path 0–1–2 plus isolated vertex 3
+// reads back with 4 vertices (disconnected) instead of 3 (connected).
+func TestEdgeListMaxVertexHeader(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{A: 0, B: 1}, {A: 1, B: 2}})
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAuto(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGraph(t, g, got)
+
+	for in, n := range map[string]int{
+		"# max-vertex -1\n":          0,
+		"# max-vertex 9\n0 1\n":      10,
+		"0 12\n# max-vertex 3\n":     13,
+		"#  max-vertex 9\n0 1\n":     2, // not the header's spelling: a plain comment
+		"# max-vertexes: 9\n0 1\n":   2,
+		"% max-vertex 9\n0 1\n":      2,
+		"# max-vertex 9 extra\n":     10,
+		" \t# max-vertex 4\r\n0 1\n": 5,
+	} {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if err != nil || g.NumVertices() != n {
+			t.Errorf("%q: got %v, %v; want %d vertices", in, g, err, n)
+		}
+	}
+	for _, in := range []string{
+		"# max-vertex\n",
+		"# max-vertex x\n",
+		"# max-vertex -2\n",
+		"# max-vertex 999999999999\n",
+		"# max-vertex 99999999999999999999\n",
+	} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 1: ") {
+			t.Errorf("%q: want a line-1 error, got %v", in, err)
+		}
+	}
+}
+
 func TestEdgeListParsing(t *testing.T) {
 	in := `# comment
 % another comment
@@ -281,6 +324,7 @@ func TestMETISErrors(t *testing.T) {
 		"2 1\n0\n1\n",       // 0-based neighbor
 		"2 1 001\n2\n1\n",   // missing edge weight
 		"2 1 010 0\n2\n1\n", // bad ncon
+		"0 0 00000\n",       // fmt longer than 3 digits
 	}
 	for _, in := range cases {
 		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {

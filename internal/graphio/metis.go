@@ -66,6 +66,9 @@ func ReadMETIS(r io.Reader) (*graph.Graph, error) {
 		}
 		if len(fields) >= 3 {
 			f := fields[2]
+			if len(f) > 3 {
+				return nil, fmt.Errorf("graphio: metis line %d: fmt %q has more than 3 digits", lineNo, f)
+			}
 			if len(f) != 3 {
 				// Single- or two-digit fmt values are allowed and
 				// left-padded with zeros per the METIS manual.

@@ -661,6 +661,10 @@ func transientStagedErr(err error) bool {
 	return errors.Is(err, fault.ErrInjected) || errors.Is(err, syscall.EINTR)
 }
 
+// maxBodyPrealloc caps the body buffer reserved from a request's
+// Content-Length before any of the body has arrived.
+const maxBodyPrealloc = 64 << 20
+
 // requestGraphBytes returns the serialized graph for the request: the
 // uploaded body, or — when a graph directory is configured — the
 // pre-staged file named by the `path` parameter. Staged METIS files are
@@ -678,7 +682,13 @@ func (s *Server) requestGraphBytes(w http.ResponseWriter, r *http.Request) ([]by
 		return s.readStaged(name)
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	data, err := io.ReadAll(body)
+	// Size the buffer from Content-Length so the body is read into one
+	// allocation, with bytes.MinRead spare for ReadFrom to see EOF. The
+	// length is the client's claim, so what it can reserve before sending
+	// a byte is capped; a larger body grows the buffer as it arrives.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.cfg.MaxUploadBytes, maxBodyPrealloc)+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	data := buf.Bytes()
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -430,4 +431,44 @@ func TestResultCacheNeverStoresCancelled(t *testing.T) {
 
 func coreResult(d int32, cancelled, timedOut bool) core.Result {
 	return core.Result{Diameter: d, Cancelled: cancelled, TimedOut: timedOut}
+}
+
+// TestHeapFlatAcrossDistinctMisses posts 30 distinct exact misses,
+// alternating edge-list text and binary CSR, to a daemon whose caches hold
+// almost nothing. Every miss reads, parses and solves a graph of about
+// 10k vertices; if the parser or the pipeline kept a body or its CSR
+// alive, the live heap would grow by hundreds of KiB per miss. Between
+// miss 10 and miss 30 it must stay within a fixed slack.
+func TestHeapFlatAcrossDistinctMisses(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Workers: 1, GraphCacheBytes: 1, ResultCacheSize: 1})
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var base uint64
+	for i := range 30 {
+		g := gen.Grid2D(100, 100+i)
+		var body bytes.Buffer
+		write := graphio.WriteEdgeList
+		if i%2 == 1 {
+			write = graphio.WriteBinary
+		}
+		if err := write(&body, g); err != nil {
+			t.Fatal(err)
+		}
+		resp, out := postGraph(t, ts, "", body.Bytes())
+		if resp.StatusCode != http.StatusOK || out.ResultCacheHit || out.Diameter != int32(100+i-1+99) {
+			t.Fatalf("miss %d: status %d, %+v", i, resp.StatusCode, out)
+		}
+		if i == 9 {
+			base = liveHeap()
+		}
+	}
+	const slack = 2 << 20
+	grown := int64(liveHeap()) - int64(base)
+	if grown > slack {
+		t.Fatalf("live heap grew %d bytes over 20 distinct misses (slack %d)", grown, slack)
+	}
 }
