@@ -106,8 +106,7 @@ func run(args []string, out io.Writer) (int, error) {
 	verbose := fs.Bool("v", false, "print graph statistics before solving")
 	jsonOut := fs.Bool("json", false, "print the result as a single JSON object")
 	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (chrome://tracing, Perfetto); fdiam only")
-	eventsFile := fs.String("events", "", "write an NDJSON structured event log of the run to this file; fdiam only")
-	httpAddr := fs.String("http", "", "serve /metrics, /progress and /debug/pprof on this address (e.g. :6060)")
+	httpAddr := fs.String("http", "", "serve /metrics and /debug/pprof on this address (e.g. :6060)")
 	progress := fs.Duration("progress", 0, "log a one-line progress status to stderr at this interval; fdiam only")
 	ckDir := fs.String("checkpoint-dir", "", "write crash-safe snapshots here and auto-resume from an existing one; fdiam only")
 	ckEvery := fs.Duration("checkpoint-interval", 0, "snapshot cadence (0 = solver default 10s); fdiam only")
@@ -130,9 +129,9 @@ func run(args []string, out io.Writer) (int, error) {
 	if fs.NArg() != 1 {
 		return exitError, fmt.Errorf("usage: fdiam [flags] <graph-file> (see -h)")
 	}
-	if *algo != "fdiam" && (*traceFile != "" || *eventsFile != "" || *progress != 0 || *ckDir != "" ||
+	if *algo != "fdiam" && (*traceFile != "" || *progress != 0 || *ckDir != "" ||
 		*epsilon != 0 || *approxSweeps != 0) {
-		return exitError, fmt.Errorf("-trace, -events, -progress, -checkpoint-dir, -epsilon and -approx require -algo fdiam")
+		return exitError, fmt.Errorf("-trace, -progress, -checkpoint-dir, -epsilon and -approx require -algo fdiam")
 	}
 	if *epsilon < -1 {
 		return exitError, fmt.Errorf("-epsilon %d: use a tolerance ≥ 0, or -1 to force exactness on resume", *epsilon)
@@ -154,7 +153,7 @@ func run(args []string, out io.Writer) (int, error) {
 			return exitError, fmt.Errorf("http: %w", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fdiam: serving /metrics, /progress, /debug/pprof on http://%s\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "fdiam: serving /metrics, /debug/pprof on http://%s\n", srv.Addr())
 		// A scrapeable process arms the histograms and the runtime
 		// sampler; without -http they stay disarmed so the solver's
 		// zero-overhead default holds.
@@ -216,11 +215,10 @@ func run(args []string, out io.Writer) (int, error) {
 	start := time.Now()
 	switch *algo {
 	case "fdiam":
-		// An observability run is attached when any event sink or the
-		// live endpoints need it; nil keeps the solver's zero-overhead
-		// path.
+		// An observability run is attached only for -trace or -progress;
+		// nil keeps the solver's zero-overhead path.
 		var trace *obs.Run
-		if *traceFile != "" || *eventsFile != "" || *httpAddr != "" || *progress != 0 {
+		if *traceFile != "" || *progress != 0 {
 			var cfg obs.Config
 			if *traceFile != "" {
 				f, err := os.Create(*traceFile)
@@ -229,14 +227,6 @@ func run(args []string, out io.Writer) (int, error) {
 				}
 				defer f.Close()
 				cfg.ChromeTrace = f
-			}
-			if *eventsFile != "" {
-				f, err := os.Create(*eventsFile)
-				if err != nil {
-					return exitError, fmt.Errorf("events: %w", err)
-				}
-				defer f.Close()
-				cfg.Events = f
 			}
 			trace = obs.NewRun(cfg)
 			if *progress != 0 {

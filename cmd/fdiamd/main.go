@@ -12,8 +12,6 @@
 //	GET  /jobs/{id}         poll an async job (id = the graph's SHA-256)
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /metrics           Prometheus text format (fdiamd_* + solver)
-//	GET  /progress          live snapshot of the current run
-//	GET  /progress/stream   SSE feed of bound-corridor + progress events
 //	GET  /debug/pprof/      standard profiling tree
 //
 // Anytime answers: POST /diameter?epsilon=E stops the solve once the
@@ -29,7 +27,8 @@
 // POST /diameter?stream=bounds streams the solve as Server-Sent Events:
 // one `bound` event per corridor tightening ({lb, ub, witness_a,
 // witness_b, elapsed_ns}) and a terminal `result` event carrying the
-// normal response JSON. POST /diameter?trace=1 embeds a Chrome trace of
+// normal response JSON. Progress is per request: this stream, or GET
+// /jobs/{id} for an async job; no endpoint shows a process-wide run. POST /diameter?trace=1 embeds a Chrome trace of
 // the solve in the response. Every response echoes X-Request-ID (accepted
 // from the client or minted), and with -log-format/-log-level set the
 // daemon emits structured access and solver logs joinable on request_id.

@@ -42,14 +42,9 @@ func splitmix64(state *uint64) uint64 {
 func (s *solver) approxRun(firstNonIsolated int) bool {
 	n := s.g.NumVertices()
 	tr := s.opt.Trace
-	s.setStage("approx")
-	if tr != nil {
-		tr.SetStage("approx")
-		tr.Begin("stage", "approx", obs.I("sweeps", int64(s.opt.Approx.Sweeps)))
-	}
+	s.beginStage("approx", obs.I("sweeps", int64(s.opt.Approx.Sweeps)))
 	defer func() {
 		if tr != nil {
-			tr.SetBound(int64(s.bound))
 			tr.End("stage", "approx",
 				obs.I("bound", int64(s.bound)), obs.I("upper", int64(s.ubCap)))
 			s.observeProgress()

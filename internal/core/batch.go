@@ -106,8 +106,8 @@ func (s *solver) notePruning(delta int64) {
 
 // runBatch evaluates the next ≤64 active vertices starting at vstart with
 // one MS-BFS and commits the results in index order. Returns false when
-// the traversal was aborted by cancellation (the caller breaks the main
-// loop, exactly like a cut-short single BFS).
+// cancellation aborted the traversal or cut a commit's step short (the
+// caller breaks the main loop, exactly like a cut-short single BFS).
 //
 // Checkpoint contract: the barrier stays armed across the whole batch with
 // NextVertex = vstart, so a snapshot taken mid-batch (or the one written
@@ -181,11 +181,7 @@ func (s *solver) runBatch(vstart int) bool {
 		s.setComputed(src, vecc)
 		switch {
 		case vecc > s.bound:
-			old := s.bound
-			s.raiseLB(vecc, src, res.Witness[i])
-			s.stats.BoundImprovements++
-			tr.BoundImproved(old, vecc, src)
-			s.publishBounds()
+			old := s.improveBound(vecc, src, res.Witness[i])
 			if !s.opt.DisableWinnow {
 				s.winnow()
 			}
@@ -198,6 +194,11 @@ func (s *solver) runBatch(vstart int) bool {
 			tEl := time.Now()
 			s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
 			s.stats.TimeEliminate += time.Since(tEl)
+		}
+		if s.cancelled() {
+			// As in the single-BFS loop: src's step may be cut short, so
+			// keep the previous snapshot, which redoes the whole batch.
+			return false
 		}
 		s.notePruning(s.removedTotal() - before)
 		s.observeProgress()

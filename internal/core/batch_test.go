@@ -194,6 +194,24 @@ func TestBatchCostModelGates(t *testing.T) {
 	}
 }
 
+// TestBatchAutoModelFiresWhereItPays pins the default cost model on the
+// two shapes it separates: a low-diameter core-whiskers graph (the
+// solve-lowdiam family, where batching roughly doubles throughput) batches
+// at Workers=1, and a grid (hundreds of thin levels) never does. Every
+// other batch test forces batchAlways or batchNever.
+func TestBatchAutoModelFiresWhereItPays(t *testing.T) {
+	social := Diameter(gen.CoreWhiskers(187500, 10, 0.10, 7, 1), Options{Workers: 1})
+	if social.Stats.MSBFSBatches == 0 || social.Stats.MSBFSSources == 0 {
+		t.Errorf("core-whiskers: auto model ran %d batches (%d sources), want > 0",
+			social.Stats.MSBFSBatches, social.Stats.MSBFSSources)
+	}
+	t.Logf("core-whiskers: %d batches, %d sources", social.Stats.MSBFSBatches, social.Stats.MSBFSSources)
+	grid := Diameter(gen.Grid2D(120, 120), Options{Workers: 1})
+	if grid.Stats.MSBFSBatches != 0 {
+		t.Errorf("grid: auto model ran %d batches, want 0", grid.Stats.MSBFSBatches)
+	}
+}
+
 // interruptBatchedMidMainLoop is interruptMidMainLoop for a forced-batching
 // solve: on a graph whose main loop is dominated by MS-BFS batches, a
 // cancel landing in the main loop lands mid-batch with high probability,

@@ -29,13 +29,7 @@ import (
 // Eliminate cannot reach (§6.4).
 func (s *solver) chains() {
 	tr := s.opt.Trace
-	if tr != nil {
-		tr.SetStage("chain")
-	}
-	s.setStage("chain")
-	if tr != nil {
-		tr.Begin("stage", "chain")
-	}
+	s.beginStage("chain")
 	t0 := time.Now()
 	g := s.g
 	n := g.NumVertices()

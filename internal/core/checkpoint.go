@@ -123,8 +123,7 @@ func (s *solver) tryResume() bool {
 		s.capUB(snap.UbCap)
 	}
 	s.statsFromCounters(&snap.Counters)
-	s.baseTotal = snap.Counters.TimeTotal
-	s.baseDirSwitches = snap.Counters.DirSwitches
+	s.base = snap.Counters
 	s.ck.infinite = snap.Infinite
 	s.ck.hash, s.ck.hashOK = snap.GraphHash, true
 	s.resumeNext = int(snap.NextVertex)
@@ -260,7 +259,7 @@ func (s *solver) countersFromStats() checkpoint.Counters {
 		EliminateCalls:    st.EliminateCalls,
 		EliminateVisited:  st.EliminateVisited,
 		BoundImprovements: st.BoundImprovements,
-		DirSwitches:       s.baseDirSwitches + s.e.DirectionSwitches(),
+		DirSwitches:       s.base.DirSwitches + s.e.DirectionSwitches(),
 		RemovedWinnow:     st.RemovedWinnow,
 		RemovedEliminate:  st.RemovedEliminate,
 		RemovedChain:      st.RemovedChain,
@@ -271,7 +270,7 @@ func (s *solver) countersFromStats() checkpoint.Counters {
 		TimeWinnow:        st.TimeWinnow,
 		TimeChain:         st.TimeChain,
 		TimeEliminate:     st.TimeEliminate,
-		TimeTotal:         s.baseTotal + time.Since(s.t0),
+		TimeTotal:         s.base.TimeTotal + time.Since(s.t0),
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fdiam/internal/checkpoint"
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
+	"fdiam/internal/obs"
 )
 
 // interruptMidMainLoop runs a checkpointed solve on g and cancels it once
@@ -117,6 +118,121 @@ func TestCheckpointResumeExactDiameter(t *testing.T) {
 	// A completed solve retires its snapshot.
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("snapshot still present after completed resume: %v", err)
+	}
+}
+
+// cancelInEliminate is a fake trace sink that raises the solver's cancel
+// flag when the nth Eliminate span of the main loop opens, so the cancel
+// lands inside that step deterministically: the partial BFS aborts at its
+// first level boundary and the step's removals stay incomplete.
+type cancelInEliminate struct {
+	s      *solver
+	nth    int
+	inLoop bool
+	seen   int
+}
+
+func (c *cancelInEliminate) Emit(e obs.Event) {
+	if e.Kind != obs.KindBegin || e.Cat != "stage" {
+		return
+	}
+	switch e.Name {
+	case "main-loop":
+		c.inLoop = true
+	case "eliminate":
+		if c.inLoop {
+			if c.seen++; c.seen == c.nth {
+				c.s.cancelFlag.Store(true)
+			}
+		}
+	}
+}
+
+func (c *cancelInEliminate) Close() error { return nil }
+
+// cancelInMainLoopEliminate runs a checkpointed (Interval 1) Workers=1
+// solve of g in dir that cancels itself inside the nth main-loop Eliminate
+// and returns the result and the main-loop vertex that step belonged to.
+func cancelInMainLoopEliminate(t *testing.T, g *graph.Graph, dir string, nth int) (Result, int) {
+	t.Helper()
+	run := obs.NewRun(obs.Config{})
+	s := newSolver(g, Options{Workers: 1, Trace: run,
+		Checkpoint: CheckpointOptions{Dir: dir, Interval: 1}})
+	sink := &cancelInEliminate{s: s, nth: nth}
+	run.AddSink(sink)
+	s.e.SetCancel(&s.cancelFlag)
+	res := s.run()
+	if err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.seen < nth || !res.Cancelled {
+		t.Fatalf("nth=%d: saw %d main-loop eliminates, cancelled=%v", nth, sink.seen, res.Cancelled)
+	}
+	return res, s.ck.loopV
+}
+
+// TestCheckpointNeverRecordsCutShortEliminate: a cancel that lands inside
+// the Eliminate following a main-loop BFS must not leave a snapshot that
+// records the vertex as computed, because resume would never redo the rest
+// of its ball and would evaluate vertices the fresh solve pruned.
+func TestCheckpointNeverRecordsCutShortEliminate(t *testing.T) {
+	g := gen.Grid2D(60, 60)
+	fresh := Diameter(g, Options{Workers: 1})
+	for _, nth := range []int{1, 3} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, checkpoint.FileName)
+		_, v := cancelInMainLoopEliminate(t, g, dir, nth)
+		snap, err := checkpoint.Read(path)
+		if err != nil {
+			if nth > 1 {
+				t.Fatalf("nth=%d: no snapshot from the earlier vertex boundaries: %v", nth, err)
+			}
+			continue // the cut-short step was the first possible snapshot point
+		}
+		if snap.NextVertex > int64(v) || snap.Ecc[v] != Active {
+			t.Fatalf("nth=%d: snapshot resumes at %d with ecc[%d]=%d; want vertex %d redone",
+				nth, snap.NextVertex, v, snap.Ecc[v], v)
+		}
+		resumed := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
+		if !resumed.Resumed {
+			t.Fatalf("nth=%d: resume rejected: %q", nth, resumed.ResumeError)
+		}
+		if resumed.Diameter != fresh.Diameter || resumed.Stats.Computed != fresh.Stats.Computed {
+			t.Fatalf("nth=%d: resumed (diam %d, computed %d), fresh (%d, %d)", nth,
+				resumed.Diameter, resumed.Stats.Computed, fresh.Diameter, fresh.Stats.Computed)
+		}
+	}
+}
+
+// TestResumedSolveCountsOnlyItsOwnWork: the process-wide work counters
+// receive each solve's own work once; a resumed solve, whose Stats continue
+// the snapshot's totals, must not count the interrupted run's work again.
+func TestResumedSolveCountsOnlyItsOwnWork(t *testing.T) {
+	g := gen.Grid2D(60, 60)
+	dir := t.TempDir()
+	before := cBFSTraversals.Value()
+	first, _ := cancelInMainLoopEliminate(t, g, dir, 3)
+	if got, want := cBFSTraversals.Value()-before, first.Stats.BFSTraversals(); got != want {
+		t.Fatalf("interrupted solve counted %d traversals, its Stats say %d", got, want)
+	}
+	path := filepath.Join(dir, checkpoint.FileName)
+	snap, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, improvements := cBFSTraversals.Value(), cBoundImprovements.Value()
+	resumed := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
+	if !resumed.Resumed {
+		t.Fatalf("resume rejected: %q", resumed.ResumeError)
+	}
+	own := resumed.Stats.BFSTraversals() - snap.Counters.EccBFS - snap.Counters.WinnowCalls
+	if got := cBFSTraversals.Value() - before; got != own || own <= 0 {
+		t.Errorf("resumed solve counted %d traversals, want its own %d (Stats total %d)",
+			got, own, resumed.Stats.BFSTraversals())
+	}
+	ownImp := resumed.Stats.BoundImprovements - snap.Counters.BoundImprovements
+	if got := cBoundImprovements.Value() - improvements; got != ownImp {
+		t.Errorf("resumed solve counted %d bound improvements, want its own %d", got, ownImp)
 	}
 }
 

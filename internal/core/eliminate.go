@@ -74,7 +74,7 @@ func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, a
 	})
 	if tr != nil {
 		// Report the counter matching the attribution, so chain removals
-		// show up as chain removals in Chrome traces and /progress.
+		// show up as chain removals in Chrome traces.
 		removed := s.stats.RemovedEliminate
 		if attr == StageChain {
 			removed = s.stats.RemovedChain

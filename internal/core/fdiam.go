@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fdiam/internal/bfs"
+	"fdiam/internal/checkpoint"
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 	"fdiam/internal/par"
@@ -132,17 +133,16 @@ type solver struct {
 	cancelFlag atomic.Bool
 
 	// ck is the crash-safe checkpointing state (see checkpoint.go). A
-	// restored snapshot sets resumed/resumeNext and the accumulation
-	// bases that let Stats continue across the process boundary; a
-	// rejected restore records its reason in resumeErr and the run
-	// degrades to a fresh solve.
-	ck              ckptState
-	resumed         bool
-	resumeErr       string
-	resumeNext      int
-	baseTotal       time.Duration
-	baseDirSwitches int64
-	t0              time.Time
+	// restored snapshot sets resumed/resumeNext and base, the restored
+	// counters that let Stats continue across the process boundary (zero
+	// for a fresh solve); a rejected restore records its reason in
+	// resumeErr and the run degrades to a fresh solve.
+	ck         ckptState
+	resumed    bool
+	resumeErr  string
+	resumeNext int
+	base       checkpoint.Counters
+	t0         time.Time
 
 	// MS-BFS batching cost-model state (batch.go). pruneEWMA tracks the
 	// recent removals-per-evaluation average (-1 until the first main-loop
@@ -230,8 +230,9 @@ func (s *solver) run() Result {
 			s.checkStateConsistency("final")
 			s.checkFinal(infinite, cancelled, early)
 		}
-		s.stats.DirSwitches = s.baseDirSwitches + s.e.DirectionSwitches()
-		s.stats.TimeTotal = s.baseTotal + time.Since(tStart)
+		s.stats.DirSwitches = s.base.DirSwitches + s.e.DirectionSwitches()
+		s.stats.TimeTotal = s.base.TimeTotal + time.Since(tStart)
+		s.countWork()
 		timedOut := cancelled && errors.Is(context.Cause(s.ctx), context.DeadlineExceeded)
 		// Terminal corridor event: full completion proves the lower bound
 		// exact (lb == ub); an early exit (ε-stop, approximation mode) keeps
@@ -302,7 +303,6 @@ func (s *solver) run() Result {
 		tr.Begin("run", "diameter", obs.I("vertices", int64(n)))
 		defer func() {
 			s.observeProgress()
-			tr.SetStage("done")
 			tr.End("run", "diameter",
 				obs.I("diameter", int64(s.bound)),
 				obs.I("ecc_bfs", s.stats.EccBFS),
@@ -317,11 +317,7 @@ func (s *solver) run() Result {
 	// Initialization: state arrays and the degree-0 pass. Isolated
 	// vertices have eccentricity 0 and need no BFS (Table 4's last
 	// column).
-	s.setStage("init")
-	if tr != nil {
-		tr.SetStage("init")
-		tr.Begin("stage", "init")
-	}
+	s.beginStage("init")
 	tInit := time.Now()
 	s.initVertexState(n, s.e.Workers())
 	firstNonIsolated := -1
@@ -379,14 +375,9 @@ func (s *solver) run() Result {
 
 		// Initial diameter via 2-sweep (§4.1): ecc(u), then the eccentricity
 		// of a vertex w maximally far from u becomes the initial bound.
-		s.setStage("2-sweep")
-		if tr != nil {
-			tr.SetStage("2-sweep")
-			tr.Begin("stage", "2-sweep", obs.I("start", int64(s.start)))
-		}
+		s.beginStage("2-sweep", obs.I("start", int64(s.start)))
 		endSweep := func() {
 			if tr != nil {
-				tr.SetBound(int64(s.bound))
 				tr.End("stage", "2-sweep", obs.I("bound", int64(s.bound)))
 				s.observeProgress()
 			}
@@ -463,11 +454,7 @@ func (s *solver) run() Result {
 	}
 
 	// Main loop (Algorithm 1): evaluate the remaining active vertices.
-	s.setStage("main-loop")
-	if tr != nil {
-		tr.SetStage("main-loop")
-		tr.Begin("stage", "main-loop")
-	}
+	s.beginStage("main-loop")
 	s.ck.infinite = infinite
 	completed := true
 	for v := s.resumeNext; v < n; v++ {
@@ -539,11 +526,7 @@ func (s *solver) run() Result {
 		case vecc > s.bound:
 			// New lower bound for the diameter: extend the winnow
 			// ball and all prior eliminated regions (§4.5).
-			old := s.bound
-			s.raiseLB(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
-			s.stats.BoundImprovements++
-			tr.BoundImproved(old, vecc, uint32(v))
-			s.publishBounds()
+			old := s.improveBound(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
 			if !s.opt.DisableWinnow {
 				s.winnow()
 			}
@@ -562,6 +545,13 @@ func (s *solver) run() Result {
 			// vecc == bound: only v itself is removed (already
 			// done by setComputed).
 		}
+		if s.cancelled() {
+			// The cancel may have cut v's Winnow/Eliminate step short, so
+			// no snapshot may record v as computed: keep the previous one,
+			// which resumes by redoing v.
+			completed = false
+			break
+		}
 		// Cost-model feedback: this evaluation's pruning yield (batch.go).
 		s.notePruning(s.removedTotal() - before)
 		s.observeProgress()
@@ -576,6 +566,19 @@ func (s *solver) run() Result {
 		tr.End("stage", "main-loop", obs.I("computed", s.stats.Computed))
 	}
 	return finish(infinite)
+}
+
+// improveBound raises the lower bound to ecc, which src's main-loop
+// evaluation proved with witness w, and reports the raise once: Stats,
+// the trace instant, and the corridor stream with its log line. Returns
+// the previous bound.
+func (s *solver) improveBound(ecc int32, src, w graph.Vertex) (old int32) {
+	old = s.bound
+	s.raiseLB(ecc, src, w)
+	s.stats.BoundImprovements++
+	s.opt.Trace.BoundImproved(old, ecc, uint32(src))
+	s.publishBounds()
+	return old
 }
 
 // publishBounds streams the current [lower, upper] corridor with its
@@ -594,25 +597,30 @@ func (s *solver) publishBounds() {
 	}
 }
 
-// setStage mirrors the tracer's stage label into the structured log, so a
-// debug-level request log shows the solver's phase transitions.
-func (s *solver) setStage(stage string) {
+// beginStage enters one of the solver's stages: a debug log line, so a
+// request log shows the phase transitions, and the trace's stage span,
+// which also labels the progress line. The caller closes the span.
+func (s *solver) beginStage(stage string, args ...obs.Arg) {
 	if s.lg.Enabled(s.ctx, slog.LevelDebug) {
 		s.lg.Debug("stage", obs.KeyStage, stage)
 	}
+	s.opt.Trace.Begin("stage", stage, args...)
 }
 
-// observeProgress pushes the live bound and active-vertex count to the
-// attached observability run (no-op without one). "Active" here is the
-// main-loop workload measure: vertices neither removed by any stage nor
-// already computed.
+// observeProgress pushes the remaining active-vertex count to the
+// attached observability run (no-op without one).
 func (s *solver) observeProgress() {
-	tr := s.opt.Trace
-	if tr == nil {
-		return
+	if tr := s.opt.Trace; tr != nil {
+		tr.SetActive(s.activeRemaining())
 	}
-	removed := s.stats.RemovedDegree0 + s.stats.RemovedWinnow +
-		s.stats.RemovedChain + s.stats.RemovedEliminate + s.stats.Computed
-	tr.SetActive(int64(s.stats.Vertices) - removed)
-	tr.SetBound(int64(s.bound))
+}
+
+// countWork adds this solve's own work to the process-wide counters, so
+// /metrics counts every finished solve, traced or not. A resumed solve
+// subtracts the work its snapshot carried in.
+func (s *solver) countWork() {
+	st := &s.stats
+	cBFSTraversals.Add(st.BFSTraversals() - s.base.EccBFS - s.base.WinnowCalls)
+	cDirSwitches.Add(s.e.DirectionSwitches())
+	cBoundImprovements.Add(st.BoundImprovements - s.base.BoundImprovements)
 }

@@ -3,8 +3,8 @@ package core
 import "fdiam/internal/obs"
 
 // hBatchSources records the per-batch source-count distribution of the
-// MS-BFS batching layer (the fdiam_msbfs_batch_size gauge only keeps the
-// latest). Buckets 1..64 match the lane count; disarmed by default like
+// MS-BFS batching layer; its count and sum are the batches and sources
+// launched. Buckets 1..64 match the lane count; disarmed by default like
 // every histogram (see obs.Registry.ArmHistograms).
 var hBatchSources = obs.Default().Histogram("fdiam_msbfs_batch_sources",
 	"sources per bit-parallel MS-BFS batch", obs.SizeOpts(6))
@@ -21,4 +21,16 @@ var (
 		"ub − lb corridor width at early exit", obs.SizeOpts(8), "mode", "epsilon")
 	hEarlyGapApprox = obs.Default().HistogramLabels("fdiam_early_exit_gap",
 		"ub − lb corridor width at early exit", obs.SizeOpts(8), "mode", "approx")
+)
+
+// Work counters: each finished solve adds its own Stats work (a resumed
+// solve only what it did after its snapshot), so they count every solve,
+// traced or not.
+var (
+	cBFSTraversals = obs.Default().Counter("fdiam_bfs_traversals_total",
+		"BFS traversals of finished solves: eccentricity BFS plus Winnow (Stats.BFSTraversals, the paper's Table 3 count)")
+	cDirSwitches = obs.Default().Counter("fdiam_bfs_dir_switches_total",
+		"direction switches (top-down <-> bottom-up) of finished solves")
+	cBoundImprovements = obs.Default().Counter("fdiam_bound_improvements_total",
+		"main-loop evaluations of finished solves that raised the diameter lower bound")
 )

@@ -26,14 +26,7 @@ func (s *solver) winnow() {
 		return
 	}
 	tr := s.opt.Trace
-	if tr != nil {
-		tr.SetStage("winnow")
-	}
-	s.setStage("winnow")
-	if tr != nil {
-		tr.Begin("stage", "winnow",
-			obs.I("depth", int64(depth)), obs.I("from_depth", int64(s.winnowDepth)))
-	}
+	s.beginStage("winnow", obs.I("depth", int64(depth)), obs.I("from_depth", int64(s.winnowDepth)))
 	t0 := time.Now()
 	s.stats.WinnowCalls++
 

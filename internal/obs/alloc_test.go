@@ -23,9 +23,7 @@ func TestNilRunIsAllocationFree(t *testing.T) {
 		r.DirSwitch(4, true)
 		r.BoundImproved(10, 12, 7)
 		r.TraversalEnd(12, 100_000, 2)
-		r.SetStage("main-loop")
 		r.SetVertices(100_000)
-		r.SetBound(12)
 		r.SetActive(5_000)
 		r.Snapshot()
 		r.Finish()
@@ -41,7 +39,7 @@ func TestNilRunIsAllocationFree(t *testing.T) {
 func TestNilTraceSolverPath(t *testing.T) {
 	g := traceGraph()
 	plain := core.Diameter(g, core.Options{Workers: 1})
-	run := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
+	run := obs.NewRun(obs.Config{})
 	traced := core.Diameter(g, core.Options{Workers: 1, Trace: run})
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)

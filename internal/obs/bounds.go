@@ -80,30 +80,15 @@ func (r *Run) SubscribeBounds(buf int) (<-chan BoundEvent, func()) {
 	return ch, cancel
 }
 
-// HasBounds reports whether the run has published at least one corridor
-// event. Until then the progress snapshot's Bound/Upper are zero values, not
-// bounds — a zero-valued corridor read as lb == ub == 0 would claim a
-// collapsed exact answer that was never proven. Nil-safe.
-func (r *Run) HasBounds() bool {
-	if r == nil {
-		return false
-	}
-	b := &r.bounds
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seen
-}
-
 // PublishBounds fans a corridor tightening out to every subscriber and
-// records it in the progress snapshot (ub < 0 means "no upper bound yet").
-// Nil-safe; with no subscribers it is two atomic stores and a mutex
-// round-trip, and it never blocks on a slow receiver.
+// records its lower bound for the progress line (ub < 0 means "no upper
+// bound yet"). Nil-safe; with no subscribers it is one atomic store and a
+// mutex round-trip, and it never blocks on a slow receiver.
 func (r *Run) PublishBounds(lb, ub int64, witnessA, witnessB int64) {
 	if r == nil {
 		return
 	}
 	r.prog.bound.Store(lb)
-	r.prog.upper.Store(ub)
 	ev := BoundEvent{LB: lb, UB: ub, WitnessA: witnessA, WitnessB: witnessB,
 		ElapsedNS: int64(time.Since(r.start))}
 	b := &r.bounds

@@ -8,7 +8,7 @@ import (
 )
 
 func TestBoundSubscriptionReplayAndClose(t *testing.T) {
-	r := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
+	r := obs.NewRun(obs.Config{})
 	r.PublishBounds(3, 10, 1, 2)
 
 	// Late subscriber sees the latest corridor immediately.
@@ -50,7 +50,7 @@ func TestBoundSubscriptionReplayAndClose(t *testing.T) {
 }
 
 func TestBoundSubscriptionDropsOldestWhenFull(t *testing.T) {
-	r := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
+	r := obs.NewRun(obs.Config{})
 	ch, cancel := r.SubscribeBounds(1)
 	defer cancel()
 	for lb := int64(1); lb <= 5; lb++ {
@@ -71,14 +71,13 @@ func TestBoundSubscriptionNilRun(t *testing.T) {
 	}
 }
 
-func TestSnapshotCarriesUpperBound(t *testing.T) {
-	r := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
-	if got := r.Snapshot().Upper; got != -1 {
-		t.Fatalf("fresh run Upper = %d, want -1", got)
+func TestSnapshotTracksPublishedBound(t *testing.T) {
+	r := obs.NewRun(obs.Config{})
+	if got := r.Snapshot().Bound; got != 0 {
+		t.Fatalf("fresh run Bound = %d, want 0", got)
 	}
 	r.PublishBounds(4, 9, 7, 8)
-	s := r.Snapshot()
-	if s.Bound != 4 || s.Upper != 9 {
-		t.Fatalf("snapshot corridor = [%d, %d], want [4, 9]", s.Bound, s.Upper)
+	if got := r.Snapshot().Bound; got != 4 {
+		t.Fatalf("snapshot bound = %d, want the corridor's lower edge 4", got)
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -16,21 +15,8 @@ func MetricsHandler(reg *Registry) http.Handler {
 	})
 }
 
-// ProgressHandler serves a JSON Snapshot of the process-wide current run,
-// or {"state":"idle"} when no run has been created yet.
-func ProgressHandler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	r := Current()
-	if r == nil {
-		_, _ = w.Write([]byte("{\"state\":\"idle\"}\n"))
-		return
-	}
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(r.Snapshot())
-}
-
-// NewMux builds the introspection mux: /metrics (Prometheus text),
-// /progress (live run snapshot), and the standard /debug/pprof tree.
+// NewMux builds the introspection mux: /metrics (Prometheus text) and the
+// standard /debug/pprof tree.
 // Registered explicitly rather than via the net/http/pprof side effects so
 // nothing leaks onto http.DefaultServeMux.
 func NewMux(reg *Registry) *http.ServeMux {
@@ -39,7 +25,6 @@ func NewMux(reg *Registry) *http.ServeMux {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(reg))
-	mux.HandleFunc("/progress", ProgressHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

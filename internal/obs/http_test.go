@@ -1,10 +1,8 @@
 package obs_test
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 
 	"fdiam/internal/core"
@@ -33,69 +31,27 @@ func TestServeEndpoints(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 
-	// A finished run against the default registry gives /metrics live
-	// values and /progress a concrete document.
-	run := obs.NewRun(obs.Config{})
-	res := core.Diameter(traceGraph(), core.Options{Workers: 1, Trace: run})
-	if err := run.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	// A finished solve, traced or not, gives /metrics live solver values.
+	res := core.Diameter(traceGraph(), core.Options{Workers: 1})
 
 	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
 	ms := parseProm(t, body)
-	found := 0
-	for name := range ms {
-		if strings.HasPrefix(name, "fdiam_") {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Errorf("/metrics has no fdiam_-prefixed series:\n%s", body)
-	}
-	if ms["fdiam_bound"].value() != int64(res.Diameter) {
-		t.Errorf("fdiam_bound = %d, want %d", ms["fdiam_bound"].value(), res.Diameter)
+	if ms["fdiam_bfs_traversals_total"].value() < res.Stats.BFSTraversals() {
+		t.Errorf("fdiam_bfs_traversals_total = %d, want at least this solve's %d",
+			ms["fdiam_bfs_traversals_total"].value(), res.Stats.BFSTraversals())
 	}
 
-	code, body = get(t, base+"/progress")
-	if code != http.StatusOK {
-		t.Fatalf("/progress status %d", code)
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/progress is not JSON: %v\n%s", err, body)
-	}
-	if snap.State != "done" || snap.Bound != int64(res.Diameter) {
-		t.Errorf("/progress = %+v, want done with bound %d", snap, res.Diameter)
+	// No process-wide current run is served: progress is per run.
+	if code, _ := get(t, base+"/progress"); code != http.StatusNotFound {
+		t.Errorf("/progress status %d, want 404", code)
 	}
 
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/symbol"} {
 		if code, _ := get(t, base+path); code != http.StatusOK {
 			t.Errorf("%s status %d, want 200", path, code)
 		}
-	}
-}
-
-func TestProgressHandlerIdle(t *testing.T) {
-	prev := obs.Current()
-	obs.SetCurrent(nil)
-	defer obs.SetCurrent(prev)
-	srv, err := obs.Serve("127.0.0.1:0", obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, "http://"+srv.Addr()+"/progress")
-	if code != http.StatusOK {
-		t.Fatalf("/progress status %d", code)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("idle /progress not JSON: %v\n%s", err, body)
-	}
-	if doc["state"] != "idle" {
-		t.Errorf("idle /progress state = %v, want idle", doc["state"])
 	}
 }

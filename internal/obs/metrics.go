@@ -226,9 +226,9 @@ func escapeLabelValue(s string) string {
 // WriteText writes every registered metric in the Prometheus text exposition
 // format (version 0.0.4), sorted by name for deterministic output:
 //
-//	# HELP fdiam_bfs_levels_total BFS levels completed
-//	# TYPE fdiam_bfs_levels_total counter
-//	fdiam_bfs_levels_total 1234
+//	# HELP fdiam_bfs_traversals_total BFS traversals of finished solves
+//	# TYPE fdiam_bfs_traversals_total counter
+//	fdiam_bfs_traversals_total 1234
 //
 // Histograms expose the conventional triplet per labeled instance:
 // cumulative `name_bucket{...,le="..."}` series ending in le="+Inf", then

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the F-Diam system: structured
-// run tracing (run → stage → traversal → level spans), Chrome trace-event
-// and NDJSON export, a process-wide counter/gauge registry with Prometheus
-// text exposition, and a live /metrics + /progress HTTP endpoint.
+// run tracing (run → stage → traversal → level spans) with Chrome
+// trace-event export, a per-run progress line and bound corridor, a
+// process-wide counter/gauge registry with Prometheus text exposition, and
+// a live /metrics + /debug/pprof HTTP endpoint.
 //
 // The paper's entire evaluation (Tables 3–4, Figure 8) is about where the
 // work goes — BFS counts, per-stage removals, per-stage time — and
@@ -19,7 +20,6 @@ package obs
 import (
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -39,21 +39,6 @@ const (
 	// fact (BFS levels — one event instead of a begin/end pair).
 	KindComplete
 )
-
-func (k Kind) String() string {
-	switch k {
-	case KindBegin:
-		return "begin"
-	case KindEnd:
-		return "end"
-	case KindInstant:
-		return "instant"
-	case KindComplete:
-		return "complete"
-	default:
-		return "invalid"
-	}
-}
 
 // Arg is one integer annotation on an event. All quantities this system
 // observes (frontier sizes, arc counts, bounds, vertex ids) are integral,
@@ -91,22 +76,19 @@ type Config struct {
 	// ChromeTrace, when non-nil, receives a Chrome trace-event JSON
 	// array (load in Perfetto or chrome://tracing).
 	ChromeTrace io.Writer
-	// Events, when non-nil, receives the raw event stream as NDJSON,
-	// one JSON object per line.
-	Events io.Writer
-	// Registry receives the run's counters and gauges; nil selects
-	// Default().
-	Registry *Registry
 }
 
-// Run is one observed computation. A nil *Run is the disabled tracer:
-// every method is nil-safe and returns immediately, and the hot-path
-// methods (the typed ones with scalar parameters) are allocation-free on
-// that path. Create with NewRun and finalize with Finish.
+// Run is one solve's observation handle. A nil *Run is the disabled
+// tracer: every method is nil-safe and returns immediately, and the
+// hot-path methods (the typed ones with scalar parameters) are
+// allocation-free on that path. Create with NewRun and finalize with
+// Finish.
 //
-// A Run fans out to three consumers at once: event sinks (Chrome trace,
-// NDJSON), the metrics registry (process totals), and the progress
-// snapshot served by /progress and the -progress stderr logger.
+// Each signal has one consumer: events go to the sinks (the Chrome
+// trace), the bound corridor to its subscribers (fdiamd's
+// ?stream=bounds), and the progress counters to Snapshot (the -progress
+// stderr line). A Run owns no metrics: the solver adds its work to the
+// process-wide counters itself, traced or not.
 type Run struct {
 	start time.Time
 
@@ -119,69 +101,23 @@ type Run struct {
 
 	prog   progressState
 	bounds boundSubs
-
-	// Per-run instruments, resolved once against the registry.
-	cTraversals, cLevels, cSwitches, cImprovements *Counter
-	cBatches, cBatchSources                        *Counter
-	gBound, gActive, gBatch                        *Gauge
 }
 
 type spanRef struct {
 	cat, name string
 }
 
-// current is the process-wide "run being observed", read by the /progress
-// HTTP handler and by anything else that wants to peek at a live run.
-var current atomic.Pointer[Run]
-
-// Current returns the most recently created Run (which may already be
-// finished), or nil if none exists.
-func Current() *Run { return current.Load() }
-
-// SetCurrent replaces the process-wide current run. NewRun calls this
-// automatically; tests use it to reset state.
-func SetCurrent(r *Run) { current.Store(r) }
-
-// NewRun creates a run, attaches the configured sinks, and installs it as
-// the process-wide current run.
+// NewRun creates a run and attaches the configured sinks.
 func NewRun(cfg Config) *Run {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = Default()
-	}
 	r := &Run{start: time.Now()}
 	if cfg.ChromeTrace != nil {
 		r.sinks = append(r.sinks, NewChromeTracer(cfg.ChromeTrace))
 	}
-	if cfg.Events != nil {
-		r.sinks = append(r.sinks, NewNDJSONTracer(cfg.Events))
-	}
-	r.cTraversals = reg.Counter("fdiam_bfs_traversals_total",
-		"BFS traversals issued (full eccentricity plus partial Winnow/Eliminate)")
-	r.cLevels = reg.Counter("fdiam_bfs_levels_total",
-		"BFS levels completed across all traversals")
-	r.cSwitches = reg.Counter("fdiam_bfs_dir_switches_total",
-		"direction switches (top-down <-> bottom-up) across all traversals")
-	r.cImprovements = reg.Counter("fdiam_bound_improvements_total",
-		"main-loop iterations that raised the diameter lower bound")
-	r.cBatches = reg.Counter("fdiam_msbfs_batches_total",
-		"bit-parallel MS-BFS batches issued by the solver's main loop")
-	r.cBatchSources = reg.Counter("fdiam_msbfs_sources_total",
-		"sources launched inside MS-BFS batches")
-	r.gBatch = reg.Gauge("fdiam_msbfs_batch_size",
-		"source count of the most recent MS-BFS batch")
-	r.gBound = reg.Gauge("fdiam_bound",
-		"current diameter lower bound of the observed run")
-	r.gActive = reg.Gauge("fdiam_active_vertices",
-		"vertices still under consideration in the observed run")
-	stage := "init"
-	r.prog.stage.Store(&stage)
-	r.prog.upper.Store(-1)
-	SetCurrent(r)
+	r.prog.stage = "init"
 	return r
 }
 
-// AddSink attaches an extra event sink (tests, custom exporters).
+// AddSink attaches an extra event sink (tests use it as a fake sink).
 func (r *Run) AddSink(t Tracer) {
 	if r == nil {
 		return
@@ -191,15 +127,7 @@ func (r *Run) AddSink(t Tracer) {
 	r.mu.Unlock()
 }
 
-// Start returns the run's start time.
-func (r *Run) Start() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
-}
-
-// Finish marks the run done (freezing the /progress elapsed clock) and
+// Finish marks the run done (stage "done", elapsed clock frozen) and
 // closes every sink, which writes the Chrome trace footer and flushes the
 // buffers. The first sink error is returned.
 func (r *Run) Finish() error {
@@ -210,6 +138,7 @@ func (r *Run) Finish() error {
 	r.closeBoundSubs()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.prog.stage = "done"
 	var first error
 	for _, s := range r.sinks {
 		if err := s.Close(); err != nil && first == nil {
@@ -233,16 +162,20 @@ func (r *Run) emit(e Event) {
 func (r *Run) since() time.Duration { return time.Since(r.start) }
 
 // Begin opens a span of the given category and name. Spans must be closed
-// in LIFO order by End. Callers on hot paths should nil-guard before
-// building args; the scalar typed methods below need no guard.
+// in LIFO order by End. A "stage" span also sets the progress label until
+// it closes. Callers on hot paths should nil-guard before building args;
+// the scalar typed methods below need no guard.
 func (r *Run) Begin(cat, name string, args ...Arg) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.stack = append(r.stack, spanRef{cat, name})
-	if cat == "traversal" {
+	switch cat {
+	case "traversal":
 		r.curTraversal = name
+	case "stage":
+		r.prog.stage = name
 	}
 	e := Event{Kind: KindBegin, Cat: cat, Name: name, TS: r.since(), Args: args}
 	for _, s := range r.sinks {
@@ -263,6 +196,16 @@ func (r *Run) End(cat, name string, args ...Arg) {
 		top := r.stack[n-1]
 		r.stack = r.stack[:n-1]
 		cat, name = top.cat, top.name
+	}
+	if cat == "stage" {
+		// The label falls back to the enclosing stage (main-loop after
+		// one of its Eliminates); the outermost stage keeps its name.
+		for i := len(r.stack) - 1; i >= 0; i-- {
+			if r.stack[i].cat == "stage" {
+				r.prog.stage = r.stack[i].name
+				break
+			}
+		}
 	}
 	e := Event{Kind: KindEnd, Cat: cat, Name: name, TS: r.since(), Args: args}
 	for _, s := range r.sinks {
@@ -343,7 +286,6 @@ func (r *Run) TraversalStart(kind string, seeds int) {
 	if r == nil {
 		return
 	}
-	r.cTraversals.Inc()
 	r.prog.traversals.Add(1)
 	r.Begin("traversal", kind, I("seeds", int64(seeds)))
 }
@@ -368,8 +310,6 @@ func (r *Run) LevelDone(level int32, step Step, frontier int, frontierArcs int64
 	if r == nil {
 		return
 	}
-	r.cLevels.Inc()
-	r.prog.levels.Add(1)
 	ts := start.Sub(r.start)
 	r.emit(Event{
 		Kind: KindComplete, Cat: "level", Name: step.String(),
@@ -391,7 +331,6 @@ func (r *Run) DirSwitch(level int32, bottomUp bool) {
 	if r == nil {
 		return
 	}
-	r.cSwitches.Inc()
 	var to int64
 	if bottomUp {
 		to = 1
@@ -401,30 +340,23 @@ func (r *Run) DirSwitch(level int32, bottomUp bool) {
 }
 
 // BoundImproved records a main-loop bound improvement: the eccentricity of
-// source raised the diameter lower bound from old to new.
+// source raised the diameter lower bound from old to new. The corridor
+// itself travels through PublishBounds.
 func (r *Run) BoundImproved(old, new int32, source uint32) {
 	if r == nil {
 		return
 	}
-	r.cImprovements.Inc()
-	r.prog.improvements.Add(1)
-	r.prog.bound.Store(int64(new))
-	r.gBound.Set(int64(new))
 	r.emit(Event{Kind: KindInstant, Cat: "bound", Name: "improved", TS: r.since(),
 		Args: []Arg{I("old", int64(old)), I("new", int64(new)), I("source", int64(source))}})
 }
 
 // BatchStart records the launch of one bit-parallel MS-BFS batch of the
 // given source count. The "msbfs" traversal span that follows carries the
-// per-level detail; this instant plus the counters/gauge summarize batch
-// cadence for /metrics.
+// per-level detail.
 func (r *Run) BatchStart(sources int) {
 	if r == nil {
 		return
 	}
-	r.cBatches.Inc()
-	r.cBatchSources.Add(int64(sources))
-	r.gBatch.Set(int64(sources))
 	r.emit(Event{Kind: KindInstant, Cat: "batch", Name: "msbfs", TS: r.since(),
 		Args: []Arg{I("sources", int64(sources))}})
 }
@@ -440,20 +372,7 @@ func (r *Run) BatchDone(committed, discarded int) {
 		Args: []Arg{I("committed", int64(committed)), I("discarded", int64(discarded))}})
 }
 
-// SetStage updates the /progress stage label ("init", "2-sweep", "winnow",
-// "chain", "main-loop", "done").
-func (r *Run) SetStage(stage string) {
-	if r == nil {
-		return
-	}
-	// Copy into a local declared after the nil check: the parameter
-	// itself escaping (via Store(&...)) would heap-allocate it in the
-	// function prologue, costing the nil path an allocation.
-	s := stage
-	r.prog.stage.Store(&s)
-}
-
-// SetVertices records the input size for the /progress snapshot.
+// SetVertices records the input size for the progress line.
 func (r *Run) SetVertices(n int64) {
 	if r == nil {
 		return
@@ -461,20 +380,11 @@ func (r *Run) SetVertices(n int64) {
 	r.prog.vertices.Store(n)
 }
 
-// SetBound updates the current diameter lower bound gauge and snapshot.
-func (r *Run) SetBound(b int64) {
-	if r == nil {
-		return
-	}
-	r.prog.bound.Store(b)
-	r.gBound.Set(b)
-}
-
-// SetActive updates the remaining active-vertex gauge and snapshot.
+// SetActive records the remaining active-vertex count for the progress
+// line.
 func (r *Run) SetActive(a int64) {
 	if r == nil {
 		return
 	}
 	r.prog.active.Store(a)
-	r.gActive.Set(a)
 }

@@ -34,12 +34,12 @@ type chromeEvent struct {
 	Args map[string]int64 `json:"args"`
 }
 
-// runTraced runs F-Diam on traceGraph with Chrome and NDJSON sinks attached
-// and returns the decoded trace, the raw NDJSON, and the run.
-func runTraced(t *testing.T, workers int) ([]chromeEvent, string, *obs.Run, core.Result) {
+// runTraced runs F-Diam on traceGraph with the Chrome sink attached and
+// returns the decoded trace and the result.
+func runTraced(t *testing.T, workers int) ([]chromeEvent, core.Result) {
 	t.Helper()
-	var chrome, events bytes.Buffer
-	run := obs.NewRun(obs.Config{ChromeTrace: &chrome, Events: &events, Registry: obs.NewRegistry()})
+	var chrome bytes.Buffer
+	run := obs.NewRun(obs.Config{ChromeTrace: &chrome})
 	res := core.Diameter(traceGraph(), core.Options{Workers: workers, Trace: run})
 	if err := run.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -48,12 +48,12 @@ func runTraced(t *testing.T, workers int) ([]chromeEvent, string, *obs.Run, core
 	if err := json.Unmarshal(chrome.Bytes(), &evs); err != nil {
 		t.Fatalf("chrome trace is not a JSON array: %v\n%s", err, chrome.String())
 	}
-	return evs, events.String(), run, res
+	return evs, res
 }
 
 func TestChromeTraceNesting(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		evs, _, _, res := runTraced(t, workers)
+		evs, res := runTraced(t, workers)
 		if res.Diameter != 38 { // grid 20x20
 			t.Fatalf("workers=%d: diameter = %d, want 38", workers, res.Diameter)
 		}
@@ -137,7 +137,7 @@ func TestChromeTraceNesting(t *testing.T) {
 }
 
 func TestChromeTraceStageNames(t *testing.T) {
-	evs, _, _, _ := runTraced(t, 1)
+	evs, _ := runTraced(t, 1)
 	stages := map[string]bool{}
 	for _, e := range evs {
 		if e.Ph == "B" && e.Cat == "stage" {
@@ -147,35 +147,6 @@ func TestChromeTraceStageNames(t *testing.T) {
 	for _, want := range []string{"init", "2-sweep", "winnow", "chain", "eliminate", "main-loop"} {
 		if !stages[want] {
 			t.Errorf("no %q stage span; got %v", want, stages)
-		}
-	}
-}
-
-func TestNDJSONEventLog(t *testing.T) {
-	_, ndjson, _, _ := runTraced(t, 1)
-	lines := strings.Split(strings.TrimSpace(ndjson), "\n")
-	if len(lines) == 0 {
-		t.Fatal("empty NDJSON log")
-	}
-	kinds := map[string]bool{}
-	for i, line := range lines {
-		var e struct {
-			Kind string  `json:"kind"`
-			Cat  string  `json:"cat"`
-			Name string  `json:"name"`
-			TSUS float64 `json:"ts_us"`
-		}
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("line %d is not JSON: %v\n%s", i+1, err, line)
-		}
-		if e.Kind == "" || e.Cat == "" || e.Name == "" {
-			t.Fatalf("line %d missing fields: %s", i+1, line)
-		}
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{"begin", "end", "complete"} {
-		if !kinds[want] {
-			t.Errorf("no %q events in NDJSON log", want)
 		}
 	}
 }
@@ -196,18 +167,18 @@ func TestEmptyTraceIsValidJSON(t *testing.T) {
 }
 
 func TestSnapshotLifecycle(t *testing.T) {
-	run := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
+	run := obs.NewRun(obs.Config{})
 	res := core.Diameter(traceGraph(), core.Options{Workers: 1, Trace: run})
 	s := run.Snapshot()
-	if s.State != "running" {
-		t.Errorf("pre-Finish state = %q, want running", s.State)
+	if s.Stage != "main-loop" {
+		t.Errorf("pre-Finish stage = %q, want main-loop", s.Stage)
 	}
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	s = run.Snapshot()
-	if s.State != "done" || s.Stage != "done" {
-		t.Errorf("post-Finish snapshot = %+v, want state/stage done", s)
+	if s.Stage != "done" {
+		t.Errorf("post-Finish snapshot = %+v, want stage done", s)
 	}
 	if s.Bound != int64(res.Diameter) {
 		t.Errorf("snapshot bound = %d, want diameter %d", s.Bound, res.Diameter)
@@ -215,28 +186,87 @@ func TestSnapshotLifecycle(t *testing.T) {
 	if s.Vertices != int64(res.Stats.Vertices) {
 		t.Errorf("snapshot vertices = %d, want %d", s.Vertices, res.Stats.Vertices)
 	}
-	if s.BFSTraversals == 0 || s.BFSLevels == 0 {
-		t.Errorf("snapshot has no traversal/level progress: %+v", s)
+	if s.BFSTraversals == 0 {
+		t.Errorf("snapshot has no traversal progress: %+v", s)
 	}
-	if s.ElapsedSeconds <= 0 {
-		t.Errorf("snapshot elapsed = %v, want > 0", s.ElapsedSeconds)
+	if s.Elapsed <= 0 {
+		t.Errorf("snapshot elapsed = %v, want > 0", s.Elapsed)
 	}
-	elapsed := s.ElapsedSeconds
+	elapsed := s.Elapsed
 	time.Sleep(5 * time.Millisecond)
-	if s2 := run.Snapshot(); s2.ElapsedSeconds != elapsed {
-		t.Errorf("elapsed not frozen after Finish: %v != %v", s2.ElapsedSeconds, elapsed)
+	if s2 := run.Snapshot(); s2.Elapsed != elapsed {
+		t.Errorf("elapsed not frozen after Finish: %v != %v", s2.Elapsed, elapsed)
 	}
 
 	var nilRun *obs.Run
-	if s := nilRun.Snapshot(); s.State != "" {
+	if s := nilRun.Snapshot(); s != (obs.Snapshot{}) {
 		t.Errorf("nil run snapshot = %+v, want zero", s)
 	}
 }
 
+// TestSnapshotConcurrentWithSolve reads the progress snapshot from another
+// goroutine while a traced solve moves the stage label and counters, as
+// the -progress logger does; run under -race.
+func TestSnapshotConcurrentWithSolve(t *testing.T) {
+	run := obs.NewRun(obs.Config{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if s := run.Snapshot(); s.Stage == "" {
+					t.Error("snapshot without a stage label")
+					return
+				}
+			}
+		}
+	}()
+	res := core.Diameter(traceGraph(), core.Options{Workers: 2, Trace: run})
+	close(stop)
+	wg.Wait()
+	if err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Snapshot().Bound; got != int64(res.Diameter) {
+		t.Errorf("final snapshot bound = %d, want %d", got, res.Diameter)
+	}
+}
+
+// TestStageLabelFollowsStageSpans: the progress label is the innermost
+// open stage span, so an Eliminate inside the main loop hands the label
+// back when it closes.
+func TestStageLabelFollowsStageSpans(t *testing.T) {
+	run := obs.NewRun(obs.Config{})
+	steps := []struct {
+		step func()
+		want string
+	}{
+		{func() {}, "init"},
+		{func() { run.Begin("stage", "main-loop") }, "main-loop"},
+		{func() { run.Begin("stage", "eliminate") }, "eliminate"},
+		{func() { run.TraversalStart("partial", 1) }, "eliminate"},
+		{func() { run.TraversalEnd(1, 5, 0) }, "eliminate"},
+		{func() { run.End("stage", "eliminate") }, "main-loop"},
+		{func() { run.End("stage", "main-loop") }, "main-loop"},
+		{func() { _ = run.Finish() }, "done"},
+	}
+	for i, st := range steps {
+		st.step()
+		if got := run.Snapshot().Stage; got != st.want {
+			t.Fatalf("step %d: stage = %q, want %q", i, got, st.want)
+		}
+	}
+}
+
 func TestLogProgress(t *testing.T) {
-	run := obs.NewRun(obs.Config{Registry: obs.NewRegistry()})
-	run.SetStage("main-loop")
-	run.SetBound(42)
+	run := obs.NewRun(obs.Config{})
+	run.Begin("stage", "main-loop")
+	run.PublishBounds(42, -1, 0, 0)
 	run.SetVertices(1000)
 	run.SetActive(17)
 	var buf syncBuffer

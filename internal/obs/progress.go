@@ -8,19 +8,17 @@ import (
 	"time"
 )
 
-// progressState is the lock-free live view of a run, written by the solver
-// through the Run setters and read concurrently by the /progress HTTP
-// handler and the -progress stderr logger.
+// progressState is the live view of a run behind the progress line. The
+// counters are atomics written by the solver through the Run setters and
+// read concurrently by the -progress stderr logger; stage is guarded by
+// the run's mutex, because Begin and End set it.
 type progressState struct {
-	stage        atomic.Pointer[string]
-	vertices     atomic.Int64
-	bound        atomic.Int64
-	upper        atomic.Int64 // proven diameter upper bound; -1 = none yet
-	active       atomic.Int64
-	traversals   atomic.Int64
-	levels       atomic.Int64
-	improvements atomic.Int64
-	doneAt       atomic.Int64 // ns-since-run-start when finished; 0 = running
+	stage      string
+	vertices   atomic.Int64
+	bound      atomic.Int64
+	active     atomic.Int64
+	traversals atomic.Int64
+	doneAt     atomic.Int64 // ns-since-run-start when finished; 0 = running
 }
 
 func (p *progressState) markDoneAt(elapsed time.Duration) {
@@ -28,33 +26,25 @@ func (p *progressState) markDoneAt(elapsed time.Duration) {
 	p.doneAt.CompareAndSwap(0, int64(elapsed))
 }
 
-// Snapshot is the /progress JSON document: one consistent-enough view of a
-// live (or finished) run. Field reads are individually atomic; the
+// Snapshot is one consistent-enough view of a live (or finished) run: the
+// fields of its progress line. Field reads are individually atomic; the
 // snapshot is advisory, not transactional.
 type Snapshot struct {
-	// State is "running" or "done".
-	State string `json:"state"`
-	// Stage is the solver stage currently executing ("init", "2-sweep",
-	// "winnow", "chain", "main-loop", "done").
-	Stage string `json:"stage"`
+	// Stage is the innermost solver stage span open ("init", "2-sweep",
+	// "winnow", "chain", "eliminate", "main-loop", "approx"), or "done"
+	// once the run finished.
+	Stage string
 	// Bound is the current diameter lower bound.
-	Bound int64 `json:"bound"`
-	// Upper is the current proven diameter upper bound, -1 while none is
-	// known (before the 2-sweep completes).
-	Upper int64 `json:"upper"`
+	Bound int64
 	// ActiveVertices counts vertices still under consideration.
-	ActiveVertices int64 `json:"active_vertices"`
+	ActiveVertices int64
 	// Vertices is the input size.
-	Vertices int64 `json:"vertices"`
+	Vertices int64
 	// BFSTraversals counts traversals issued so far (full + partial).
-	BFSTraversals int64 `json:"bfs_traversals"`
-	// BFSLevels counts BFS levels completed so far.
-	BFSLevels int64 `json:"bfs_levels"`
-	// BoundImprovements counts main-loop bound raises so far.
-	BoundImprovements int64 `json:"bound_improvements"`
-	// ElapsedSeconds is the wall-clock time since the run started,
-	// frozen once the run finishes.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	BFSTraversals int64
+	// Elapsed is the wall-clock time since the run started, frozen once
+	// the run finishes.
+	Elapsed time.Duration
 }
 
 // Snapshot captures the current progress of the run. Safe to call
@@ -65,23 +55,18 @@ func (r *Run) Snapshot() Snapshot {
 	}
 	p := &r.prog
 	s := Snapshot{
-		State:             "running",
-		Bound:             p.bound.Load(),
-		Upper:             p.upper.Load(),
-		ActiveVertices:    p.active.Load(),
-		Vertices:          p.vertices.Load(),
-		BFSTraversals:     p.traversals.Load(),
-		BFSLevels:         p.levels.Load(),
-		BoundImprovements: p.improvements.Load(),
+		Bound:          p.bound.Load(),
+		ActiveVertices: p.active.Load(),
+		Vertices:       p.vertices.Load(),
+		BFSTraversals:  p.traversals.Load(),
 	}
-	if st := p.stage.Load(); st != nil {
-		s.Stage = *st
-	}
+	r.mu.Lock()
+	s.Stage = p.stage
+	r.mu.Unlock()
 	if done := p.doneAt.Load(); done != 0 {
-		s.State = "done"
-		s.ElapsedSeconds = time.Duration(done).Seconds()
+		s.Elapsed = time.Duration(done)
 	} else {
-		s.ElapsedSeconds = time.Since(r.start).Seconds()
+		s.Elapsed = time.Since(r.start)
 	}
 	return s
 }
@@ -92,7 +77,7 @@ func (r *Run) Snapshot() Snapshot {
 func (s Snapshot) Line() string {
 	return fmt.Sprintf("stage=%s bound=%d active=%d/%d bfs=%d elapsed=%s",
 		s.Stage, s.Bound, s.ActiveVertices, s.Vertices, s.BFSTraversals,
-		time.Duration(s.ElapsedSeconds*float64(time.Second)).Round(100*time.Millisecond))
+		s.Elapsed.Round(100*time.Millisecond))
 }
 
 // LogProgress starts a goroutine that writes one status line to w every
@@ -115,9 +100,8 @@ func (r *Run) LogProgress(w io.Writer, interval time.Duration) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				s := r.Snapshot()
-				fmt.Fprintf(w, "fdiam: %s\n", s.Line())
-				if s.State == "done" {
+				fmt.Fprintf(w, "fdiam: %s\n", r.Snapshot().Line())
+				if r.prog.doneAt.Load() != 0 {
 					return
 				}
 			}

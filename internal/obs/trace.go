@@ -88,55 +88,3 @@ func (t *ChromeTracer) Close() error {
 	_, _ = t.w.WriteString("\n]\n")
 	return t.w.Flush()
 }
-
-// NDJSONTracer writes the raw event stream as newline-delimited JSON, one
-// object per line — the machine-readable event log for ad-hoc analysis
-// (jq, spreadsheet import) without the Chrome format's span pairing.
-type NDJSONTracer struct {
-	w *bufio.Writer
-}
-
-// NewNDJSONTracer creates a tracer streaming to w. The caller owns w.
-func NewNDJSONTracer(w io.Writer) *NDJSONTracer {
-	return &NDJSONTracer{w: bufio.NewWriter(w)}
-}
-
-// ndjsonEvent is the wire format of one event-log line.
-type ndjsonEvent struct {
-	Kind  string           `json:"kind"`
-	Cat   string           `json:"cat"`
-	Name  string           `json:"name"`
-	TSUS  float64          `json:"ts_us"`
-	DurUS *float64         `json:"dur_us,omitempty"`
-	Args  map[string]int64 `json:"args,omitempty"`
-}
-
-// Emit writes one line.
-func (t *NDJSONTracer) Emit(e Event) {
-	ne := ndjsonEvent{
-		Kind: e.Kind.String(),
-		Cat:  e.Cat,
-		Name: e.Name,
-		TSUS: micros(e.TS.Nanoseconds()),
-	}
-	if e.Kind == KindComplete {
-		dur := micros(e.Dur.Nanoseconds())
-		ne.DurUS = &dur
-	}
-	if len(e.Args) > 0 {
-		ne.Args = make(map[string]int64, len(e.Args))
-		for _, a := range e.Args {
-			ne.Args[a.Key] = a.Val
-		}
-	}
-	b, err := json.Marshal(ne)
-	if err != nil {
-		return // unreachable
-	}
-	// bufio errors are sticky; Close surfaces them via Flush.
-	_, _ = t.w.Write(b)
-	_ = t.w.WriteByte('\n')
-}
-
-// Close flushes the buffered lines.
-func (t *NDJSONTracer) Close() error { return t.w.Flush() }

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fdiam/internal/obs"
 )
 
 func postJob(t *testing.T, url, query string, body []byte) (*http.Response, jobResponse) {
@@ -209,5 +211,35 @@ func TestJobAdoptionAfterRestart(t *testing.T) {
 	done := waitJobDone(t, ts2.URL, id)
 	if done.Result == nil || done.Result.Diameter != 399 {
 		t.Fatalf("adopted job result = %+v, want diameter 399", done.Result)
+	}
+}
+
+// TestSolverCountersCountUntracedSolves: a plain POST /diameter and a
+// POST /jobs solve both run with no trace attached, and each still adds
+// exactly its own BFS traversals to fdiam_bfs_traversals_total.
+func TestSolverCountersCountUntracedSolves(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Workers: 1})
+	traversals := obs.Default().Counter("fdiam_bfs_traversals_total", "")
+
+	before := traversals.Value()
+	resp, out := postGraph(t, ts, "", gridGraphBytes(t))
+	if resp.StatusCode != http.StatusOK || out.Stats == nil {
+		t.Fatalf("/diameter: status %d, stats %v", resp.StatusCode, out.Stats)
+	}
+	if got, want := traversals.Value()-before, out.Stats.BFSTraversals(); got != want || want == 0 {
+		t.Errorf("/diameter raised the counter by %d, want its stats' %d", got, want)
+	}
+
+	before = traversals.Value()
+	resp, job := postJob(t, ts.URL, "", pathGraphBytes(t, 150))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d, want 202", resp.StatusCode)
+	}
+	done := waitJobDone(t, ts.URL, job.JobID)
+	if done.Result == nil || done.Result.Stats == nil {
+		t.Fatalf("job result without stats: %+v", done)
+	}
+	if got, want := traversals.Value()-before, done.Result.Stats.BFSTraversals(); got != want || want == 0 {
+		t.Errorf("POST /jobs raised the counter by %d, want its stats' %d", got, want)
 	}
 }

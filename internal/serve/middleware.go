@@ -91,10 +91,6 @@ func routeLabel(path string) string {
 		return "healthz"
 	case path == "/metrics":
 		return "metrics"
-	case path == "/progress/stream":
-		return "progress_stream"
-	case path == "/progress":
-		return "progress"
 	case strings.HasPrefix(path, "/debug/pprof"):
 		return "pprof"
 	default:

@@ -239,10 +239,9 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/diameter", s.handleDiameter)
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/", s.handleJobGet)
-	s.mux.HandleFunc("/progress/stream", s.handleProgressStream)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	// Everything else falls through to the shared introspection mux:
-	// /metrics, /progress, /debug/pprof.
+	// /metrics, /debug/pprof.
 	s.mux.Handle("/", obs.NewMux(reg))
 	return s, nil
 }
@@ -358,7 +357,7 @@ func (s *Server) handleDiameter(w http.ResponseWriter, r *http.Request) {
 	// the zero-cost default.
 	var run *obs.Run
 	if streamBounds || wantTrace {
-		runCfg := obs.Config{Registry: s.cfg.Registry}
+		var runCfg obs.Config
 		if wantTrace {
 			traceBuf = &bytes.Buffer{}
 			runCfg.ChromeTrace = traceBuf

@@ -358,14 +358,19 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 
 func TestIntrospectionEndpointsMounted(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{Workers: 1})
-	for _, path := range []string{"/metrics", "/progress", "/healthz"} {
+	// Progress is per request (?stream=bounds, GET /jobs/{id}); no
+	// process-wide current run is served.
+	for path, want := range map[string]int{
+		"/metrics": http.StatusOK, "/healthz": http.StatusOK,
+		"/progress": http.StatusNotFound, "/progress/stream": http.StatusNotFound,
+	} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics")

@@ -1,24 +1,20 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"fdiam/internal/obs"
 )
 
-// SSE event names of the streaming endpoints. The protocol (DESIGN.md §12):
-// `bound` events carry a BoundEvent JSON object (the corridor [lb, ub] with
-// its witness pair), `progress` events carry an obs.Snapshot, and a
-// `result` event carrying the full /diameter response JSON terminates a
-// bounds-streamed solve.
+// SSE event names of POST /diameter?stream=bounds. The protocol (DESIGN.md
+// §12): `bound` events carry a BoundEvent JSON object (the corridor
+// [lb, ub] with its witness pair), and a `result` event carrying the full
+// /diameter response JSON terminates the stream.
 const (
-	sseEventBound    = "bound"
-	sseEventProgress = "progress"
-	sseEventResult   = "result"
+	sseEventBound  = "bound"
+	sseEventResult = "result"
 )
 
 // sseStart prepares w for Server-Sent Events and returns the flusher.
@@ -51,98 +47,6 @@ func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, v any) error
 	}
 	fl.Flush()
 	return nil
-}
-
-// snapshotBound synthesizes a corridor event from a run's progress
-// snapshot, for subscribers that attach when no fresh publication will
-// arrive (a finished run, or one between publications). The snapshot does
-// not carry the witness pair, so the witnesses are -1.
-func snapshotBound(s obs.Snapshot) obs.BoundEvent {
-	return obs.BoundEvent{
-		LB: s.Bound, UB: s.Upper, WitnessA: -1, WitnessB: -1,
-		ElapsedNS: int64(s.ElapsedSeconds * float64(time.Second)),
-	}
-}
-
-// handleProgressStream is GET /progress/stream: an SSE feed of the
-// process-wide observed run. On connect it emits the current run's corridor
-// as a `bound` event (if any run exists, finished or not), then forwards
-// every bound improvement as it happens, interleaved with periodic
-// `progress` snapshots. When the observed run finishes, the stream waits
-// for the next run and follows it. Closes cleanly on client disconnect and
-// on daemon drain.
-func (s *Server) handleProgressStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET streams the observed run's progress", http.StatusMethodNotAllowed)
-		return
-	}
-	fl, ok := sseStart(w)
-	if !ok {
-		return
-	}
-
-	var followed *obs.Run
-	if run := obs.Current(); run != nil {
-		// Immediate corridor on connect: a client (or the CI smoke)
-		// attaching after a solve still sees where the bound stands. Only
-		// when a bound actually exists — before the first publication the
-		// snapshot holds zero values, and emitting them would read as a
-		// collapsed lb == ub == 0 exact answer under the protocol.
-		if run.HasBounds() {
-			if writeSSE(w, fl, sseEventBound, snapshotBound(run.Snapshot())) != nil {
-				return
-			}
-		}
-		if run.Snapshot().State == "done" {
-			followed = run // only re-follow once a *new* run appears
-		}
-	}
-
-	poll := time.NewTicker(200 * time.Millisecond)
-	defer poll.Stop()
-	progress := time.NewTicker(time.Second)
-	defer progress.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		case <-poll.C:
-		}
-		run := obs.Current()
-		if run == nil || run == followed {
-			continue
-		}
-		followed = run
-		ch, cancelSub := run.SubscribeBounds(16)
-		err := func() error {
-			defer cancelSub()
-			for {
-				select {
-				case <-r.Context().Done():
-					return context.Canceled
-				case <-s.baseCtx.Done():
-					return context.Canceled
-				case ev, chOK := <-ch:
-					if !chOK {
-						return nil // run finished; wait for the next one
-					}
-					if err := writeSSE(w, fl, sseEventBound, ev); err != nil {
-						return err
-					}
-				case <-progress.C:
-					if err := writeSSE(w, fl, sseEventProgress, run.Snapshot()); err != nil {
-						return err
-					}
-				}
-			}
-		}()
-		if err != nil {
-			return
-		}
-	}
 }
 
 // streamSolve runs one admitted solve while streaming its bound corridor as

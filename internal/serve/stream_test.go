@@ -1,7 +1,7 @@
 package serve
 
 // SSE streaming tests: bound-corridor monotonicity, exact termination,
-// cached-result streaming, and clean closes on client disconnect and drain.
+// cached-result streaming, and a clean close on client disconnect.
 
 import (
 	"bufio"
@@ -206,121 +206,4 @@ func TestStreamClientDisconnectLeavesServerHealthy(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server wedged after client disconnect")
 	}
-}
-
-func TestProgressStreamEmitsBoundAndClosesOnDrain(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{Workers: 1})
-
-	// A streamed solve leaves a finished observed run behind; connecting
-	// afterwards must still deliver its corridor immediately (this is what
-	// the CI smoke relies on).
-	resp, err := ts.Client().Post(ts.URL+"/diameter?stream=bounds", "application/octet-stream",
-		bytes.NewReader(pathGraphBytes(t, 100)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	stream, err := ts.Client().Get(ts.URL + "/progress/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	if ct := stream.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type %q", ct)
-	}
-	events := readSSE(t, io.LimitReader(stream.Body, 4096), 1)
-	if len(events) != 1 || events[0].name != sseEventBound {
-		t.Fatalf("connect events %+v, want one bound event", events)
-	}
-	if b := decodeBound(t, events[0]); b.LB != 99 || b.UB != 99 {
-		t.Fatalf("connect corridor [%d,%d], want [99,99]", b.LB, b.UB)
-	}
-
-	// Drain: the stream must end rather than hold shutdown hostage.
-	closed := make(chan struct{})
-	go func() {
-		io.Copy(io.Discard, stream.Body)
-		close(closed)
-	}()
-	sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.Shutdown(sdCtx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("/progress/stream did not close on drain")
-	}
-}
-
-func TestProgressStreamClosesOnClientDisconnect(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/progress/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	time.AfterFunc(100*time.Millisecond, cancel)
-	// With no run to follow the body stays silent; the read must still
-	// return once the client hangs up instead of leaking the handler.
-	done := make(chan struct{})
-	go func() {
-		io.Copy(io.Discard, resp.Body)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("stream read did not end after cancel")
-	}
-}
-
-// Regression: connecting to /progress/stream while a run exists but has not
-// yet published a corridor used to emit the zero-valued snapshot as a bound
-// event — lb=0, ub=0, which the protocol defines as a collapsed exact
-// diameter of 0. The on-connect emit must wait for a real bound.
-func TestProgressStreamNoZeroCorridorBeforeFirstBound(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{Workers: 1})
-	prev := obs.Current()
-	run := obs.NewRun(obs.Config{})
-	t.Cleanup(func() {
-		_ = run.Finish()
-		obs.SetCurrent(prev)
-	})
-
-	stream, err := ts.Client().Get(ts.URL + "/progress/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-
-	// First publication lands after the handler has connected (and, before
-	// the fix, already emitted the bogus zero corridor). Replay-on-subscribe
-	// makes the schedule race-free: whichever side wins, the first bound
-	// event a correct server sends is [5, 10].
-	time.AfterFunc(300*time.Millisecond, func() { run.PublishBounds(5, 10, 0, 4) })
-
-	for i := 0; i < 5; i++ {
-		events := readSSE(t, stream.Body, 1)
-		if len(events) == 0 {
-			t.Fatal("stream ended before a bound event arrived")
-		}
-		if events[0].name != sseEventBound {
-			continue // periodic progress snapshots may interleave
-		}
-		b := decodeBound(t, events[0])
-		if b.LB != 5 || b.UB != 10 {
-			t.Fatalf("first bound event [%d,%d], want [5,10] (zero-corridor emitted before first publication?)", b.LB, b.UB)
-		}
-		return
-	}
-	t.Fatal("no bound event within 5 stream events")
 }
