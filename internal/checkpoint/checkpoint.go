@@ -39,8 +39,10 @@ const magic = "FDIAMCK1"
 // different version outright: resuming is an exactness-critical operation
 // and cross-version field guessing is how silent wrong diameters happen.
 // v2 added the Epsilon and UbCap fields (the anytime corridor recorded so
-// resume honors the tolerance and reopens at the proven upper bound).
-const version = 2
+// resume honors the tolerance and reopens at the proven upper bound); v3
+// dropped NextVertex, because the main loop resumes from the restored
+// Active set rather than a vertex index.
+const version = 3
 
 // FileName is the canonical snapshot name inside a checkpoint directory.
 // One solve owns one directory; Write replaces the file atomically, so the
@@ -118,13 +120,6 @@ type Snapshot struct {
 	Start              uint32
 	WitnessA, WitnessB uint32
 
-	// NextVertex is where the main loop resumes scanning: every vertex
-	// below it is either removed or already computed. The BFS of the
-	// vertex in flight when the snapshot was taken is NOT included — it
-	// is redone on resume, which is the "at most one checkpoint interval
-	// of redone work" bound.
-	NextVertex int64
-
 	// Infinite records the connectivity verdict of the completed 2-sweep.
 	Infinite bool
 
@@ -140,7 +135,11 @@ type Snapshot struct {
 
 	// Ecc and Stage are the per-vertex solver state (core's encoding:
 	// MaxInt32 = active, -1 = winnowed, other = recorded bound or exact
-	// eccentricity; Stage attributes each removal).
+	// eccentricity; Stage attributes each removal). The Active vertices
+	// are exactly the main loop's remaining work: every vertex the loop
+	// has passed is removed or computed, and the one in flight when the
+	// snapshot was taken stays Active, so it is redone on resume — the
+	// "at most one checkpoint interval of redone work" bound.
 	Ecc   []int32
 	Stage []uint8
 
@@ -197,7 +196,7 @@ func GraphHash(g *graph.Graph) [32]byte {
 // encode serializes the payload (everything the CRC covers).
 func (s *Snapshot) encode() []byte {
 	n := len(s.Ecc)
-	size := 4 + 32 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 4 + 4 + 17*8 + 8 + 5*n +
+	size := 4 + 32 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 17*8 + 8 + 5*n +
 		8 + 4*len(s.WinnowFrontier) + 8 + 8*len(s.ChainDone) + 8
 	for _, ring := range s.ChainRing {
 		size += 12 + 4*len(ring)
@@ -217,7 +216,6 @@ func (s *Snapshot) encode() []byte {
 	u32(s.Start)
 	u32(s.WitnessA)
 	u32(s.WitnessB)
-	i64(s.NextVertex)
 	var flags uint32
 	if s.Infinite {
 		flags |= 1
@@ -340,7 +338,6 @@ func decode(payload []byte) (*Snapshot, error) {
 	s.Start = d.u32()
 	s.WitnessA = d.u32()
 	s.WitnessB = d.u32()
-	s.NextVertex = d.i64()
 	flags := d.u32()
 	s.Infinite = flags&1 != 0
 	s.WinnowDepth = d.i32()
@@ -530,9 +527,6 @@ func (s *Snapshot) Validate(g *graph.Graph) error {
 	}
 	if s.WitnessB != math.MaxUint32 && !inRange(s.WitnessB) {
 		return fmt.Errorf("%w: witness %d out of range", ErrCorrupt, s.WitnessB)
-	}
-	if s.NextVertex < 0 || s.NextVertex > int64(n) {
-		return fmt.Errorf("%w: next vertex %d out of [0, %d]", ErrCorrupt, s.NextVertex, n)
 	}
 	if s.Bound < 0 || (n > 0 && int64(s.Bound) >= int64(n)) {
 		return fmt.Errorf("%w: bound %d out of range for %d vertices", ErrCorrupt, s.Bound, n)

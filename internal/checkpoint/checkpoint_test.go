@@ -22,7 +22,6 @@ func testSnapshot(g *graph.Graph) *Snapshot {
 		Start:          0,
 		WitnessA:       0,
 		WitnessB:       uint32(n - 1),
-		NextVertex:     3,
 		Infinite:       false,
 		UbCap:          int32(n - 1),
 		Ecc:            make([]int32, n),
@@ -71,7 +70,7 @@ func TestRoundTrip(t *testing.T) {
 	got := writeRead(t, g, s)
 
 	if got.Bound != s.Bound || got.Start != s.Start || got.WitnessA != s.WitnessA ||
-		got.WitnessB != s.WitnessB || got.NextVertex != s.NextVertex ||
+		got.WitnessB != s.WitnessB ||
 		got.Infinite != s.Infinite || got.WinnowDepth != s.WinnowDepth {
 		t.Fatalf("scalar fields differ: got %+v", got)
 	}
@@ -151,7 +150,6 @@ func TestValidateCatchesInconsistency(t *testing.T) {
 		{"counter-tally", func(s *Snapshot) { s.Counters.Computed = 99 }},
 		{"stage-encoding", func(s *Snapshot) { s.Stage[0] = 2 }}, // winnow stage, computed ecc
 		{"stage-invalid", func(s *Snapshot) { s.Stage[0] = 17 }},
-		{"next-vertex", func(s *Snapshot) { s.NextVertex = 1000 }},
 		{"bound-range", func(s *Snapshot) { s.Bound = 1 << 20 }},
 		{"frontier-range", func(s *Snapshot) { s.WinnowFrontier[0] = 1 << 30 }},
 		{"ring-range", func(s *Snapshot) { s.ChainRing[4] = []uint32{1 << 30} }},
@@ -185,7 +183,6 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 	}
 	second := testSnapshot(g)
 	second.Bound = 7
-	second.NextVertex = 5
 	err := Write(path, second)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("torn write returned %v, want injected error", err)
@@ -195,8 +192,8 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old snapshot unreadable after torn write: %v", err)
 	}
-	if got.Bound != first.Bound || got.NextVertex != first.NextVertex {
-		t.Fatalf("old snapshot clobbered: bound %d next %d", got.Bound, got.NextVertex)
+	if got.Bound != first.Bound {
+		t.Fatalf("old snapshot clobbered: bound %d", got.Bound)
 	}
 
 	// The fault fired once; the retried write must succeed and replace.

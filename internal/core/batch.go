@@ -10,8 +10,8 @@ import (
 // one direction-optimized BFS per surviving active vertex, the solver
 // collects up to 64 of them and advances all 64 traversals with one
 // bit-parallel pass over the edges (bfs.MultiSourceRun), then commits the
-// results in index order. Committing in order and discarding any source an
-// earlier commit's pruning already removed makes the state evolution — the
+// results in scan-list order. Committing in order and discarding any source
+// an earlier commit's pruning already removed makes the state evolution — the
 // bound trajectory, every removal, every Stats counter above the MSBFS_*
 // group — exactly identical to the unbatched loop (DESIGN.md §11).
 
@@ -104,24 +104,25 @@ func (s *solver) notePruning(delta int64) {
 	s.pruneEWMA = 0.75*s.pruneEWMA + 0.25*d
 }
 
-// runBatch evaluates the next ≤64 active vertices starting at vstart with
-// one MS-BFS and commits the results in index order. Returns false when
-// cancellation aborted the traversal or cut a commit's step short (the
-// caller breaks the main loop, exactly like a cut-short single BFS).
+// runBatch evaluates the next ≤64 active vertices of the scan list,
+// starting at position i, with one MS-BFS and commits the results in list
+// order. Returns false when cancellation aborted the traversal or cut a
+// commit's step short (the caller breaks the main loop, exactly like a
+// cut-short single BFS).
 //
-// Checkpoint contract: the barrier stays armed across the whole batch with
-// NextVertex = vstart, so a snapshot taken mid-batch (or the one written
-// on abort) resumes by redoing the entire batch — sound because nothing is
-// committed until the traversal finishes, and the resumed run re-collects
-// the identical source list from the restored state.
-func (s *solver) runBatch(vstart int) bool {
-	n := len(s.ecc)
+// Checkpoint contract: the barrier stays armed across the whole batch, so
+// a snapshot taken mid-batch (or the one written on abort) still holds
+// every source Active and resumes by redoing the entire batch — sound
+// because nothing is committed until the traversal finishes, and the
+// resumed run rebuilds the identical scan list from the restored state.
+func (s *solver) runBatch(i int) bool {
 	sources := s.batchBuf[:0]
-	last := vstart
-	for w := vstart; w < n && len(sources) < 64; w++ {
+	for _, w := range s.order[i:] {
+		if len(sources) == 64 {
+			break
+		}
 		if s.ecc[w] == Active {
-			sources = append(sources, graph.Vertex(w))
-			last = w
+			sources = append(sources, w)
 		}
 	}
 	s.batchBuf = sources
@@ -131,7 +132,6 @@ func (s *solver) runBatch(vstart int) bool {
 	s.stats.MSBFSBatches++
 	s.stats.MSBFSSources += int64(len(sources))
 
-	s.ck.loopV = vstart
 	tEcc := time.Now()
 	s.ck.armed = true
 	res := s.e.MultiSourceRun(sources)
@@ -148,7 +148,7 @@ func (s *solver) runBatch(vstart int) bool {
 		if tr != nil {
 			tr.Instant("run", "cancelled")
 		}
-		s.writeCheckpoint(int64(vstart))
+		s.writeCheckpoint()
 		return false
 	}
 	if checkedBuild {
@@ -205,11 +205,9 @@ func (s *solver) runBatch(vstart int) bool {
 	}
 	tr.BatchDone(committed, discarded)
 	if !stopped {
-		// A snapshot resuming at last+1 is only sound when every source up
-		// to last was committed or discarded; an ε-stop leaves uncommitted
-		// Active sources behind, and the main loop's exit path writes the
-		// correctly-positioned snapshot instead.
-		s.ckptAfterVertex(last + 1)
+		// An ε-stop leaves uncommitted sources Active; the main loop's
+		// exit path writes that snapshot instead.
+		s.ckptAfterVertex()
 	}
 	return true
 }

@@ -26,7 +26,6 @@ type ckptState struct {
 	last     time.Time     // time of the last write attempt
 	calls    int           // main-loop BFS calls since the last write
 	armed    bool          // inside a main-loop eccentricity traversal
-	loopV    int           // main-loop vertex in flight (barrier's NextVertex)
 	infinite bool          // connectivity verdict persisted into snapshots
 	hash     [32]byte      // cached GraphHash (O(n+m) to compute)
 	hashOK   bool
@@ -126,7 +125,6 @@ func (s *solver) tryResume() bool {
 	s.base = snap.Counters
 	s.ck.infinite = snap.Infinite
 	s.ck.hash, s.ck.hashOK = snap.GraphHash, true
-	s.resumeNext = int(snap.NextVertex)
 	s.resumed = true
 	checkpoint.MarkRestored()
 	if checkedBuild {
@@ -134,22 +132,22 @@ func (s *solver) tryResume() bool {
 	}
 	if tr := s.opt.Trace; tr != nil {
 		tr.Instant("checkpoint", "resume",
-			obs.I("next_vertex", snap.NextVertex), obs.I("bound", int64(snap.Bound)))
+			obs.I("active", s.activeRemaining()), obs.I("bound", int64(snap.Bound)))
 	}
 	return true
 }
 
-// buildSnapshot captures the current solver state with the main loop set to
-// resume at next (vertices below next are all removed or computed; the BFS
-// in flight, if any, is redone on resume).
-func (s *solver) buildSnapshot(next int64) *checkpoint.Snapshot {
+// buildSnapshot captures the current solver state. Every vertex the main
+// loop has passed is removed or computed, so the Active set is exactly the
+// work left; the vertex (or batch) in flight, if any, is still Active and
+// is redone on resume.
+func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		GraphHash:      s.graphHash(),
 		Bound:          s.bound,
 		Start:          uint32(s.start),
 		WitnessA:       uint32(s.witnessA),
 		WitnessB:       uint32(s.witnessB),
-		NextVertex:     next,
 		Infinite:       s.ck.infinite,
 		Ecc:            append([]int32(nil), s.ecc...),
 		Stage:          make([]uint8, len(s.stage)),
@@ -188,33 +186,34 @@ func (s *solver) buildSnapshot(next int64) *checkpoint.Snapshot {
 	return snap
 }
 
-// writeCheckpoint publishes a snapshot resuming at next. A failed write
-// (disk trouble or an injected fault) never fails the solve; the checkpoint
-// package's metrics record it and the previous snapshot stays in place.
-func (s *solver) writeCheckpoint(next int64) {
+// writeCheckpoint publishes a snapshot of the current state. A failed
+// write (disk trouble or an injected fault) never fails the solve; the
+// checkpoint package's metrics record it and the previous snapshot stays
+// in place.
+func (s *solver) writeCheckpoint() {
 	if s.ck.path == "" {
 		return
 	}
-	if err := checkpoint.Write(s.ck.path, s.buildSnapshot(next)); err == nil {
+	if err := checkpoint.Write(s.ck.path, s.buildSnapshot()); err == nil {
 		s.stats.Checkpoints++
 		if tr := s.opt.Trace; tr != nil {
-			tr.Instant("checkpoint", "write", obs.I("next_vertex", next))
+			tr.Instant("checkpoint", "write", obs.I("active", s.activeRemaining()))
 		}
 	}
 	s.ck.calls = 0
 	s.ck.last = time.Now()
 }
 
-// ckptAfterVertex runs at each main-loop vertex boundary: all of vertex
-// next-1's work (its BFS plus any winnow/eliminate extension) is reflected
+// ckptAfterVertex runs at each main-loop vertex boundary: all of the last
+// vertex's work (its BFS plus any winnow/eliminate extension) is reflected
 // in the state, so a snapshot here loses nothing on resume.
-func (s *solver) ckptAfterVertex(next int) {
+func (s *solver) ckptAfterVertex() {
 	if s.ck.path == "" {
 		return
 	}
 	if (s.ck.interval > 0 && s.ck.calls >= s.ck.interval) ||
 		(s.ck.every > 0 && time.Since(s.ck.last) >= s.ck.every) {
-		s.writeCheckpoint(int64(next))
+		s.writeCheckpoint()
 	}
 }
 
@@ -227,7 +226,7 @@ func (s *solver) ckptBarrier() {
 	if !s.ck.armed || s.ck.every <= 0 || time.Since(s.ck.last) < s.ck.every {
 		return
 	}
-	s.writeCheckpoint(int64(s.ck.loopV))
+	s.writeCheckpoint()
 }
 
 // clearCheckpoint removes the snapshot after a completed (not cancelled)

@@ -7,8 +7,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,7 +157,7 @@ func (c *cancelInEliminate) Close() error { return nil }
 // cancelInMainLoopEliminate runs a checkpointed (Interval 1) Workers=1
 // solve of g in dir that cancels itself inside the nth main-loop Eliminate
 // and returns the result and the main-loop vertex that step belonged to.
-func cancelInMainLoopEliminate(t *testing.T, g *graph.Graph, dir string, nth int) (Result, int) {
+func cancelInMainLoopEliminate(t *testing.T, g *graph.Graph, dir string, nth int) (Result, graph.Vertex) {
 	t.Helper()
 	run := obs.NewRun(obs.Config{})
 	s := newSolver(g, Options{Workers: 1, Trace: run,
@@ -168,7 +172,15 @@ func cancelInMainLoopEliminate(t *testing.T, g *graph.Graph, dir string, nth int
 	if sink.seen < nth || !res.Cancelled {
 		t.Fatalf("nth=%d: saw %d main-loop eliminates, cancelled=%v", nth, sink.seen, res.Cancelled)
 	}
-	return res, s.ck.loopV
+	// The loop computes scan-list entries in list order, so the vertex in
+	// flight is the last entry it computed.
+	inFlight := graph.NoVertex
+	for _, v := range s.order {
+		if s.stage[v] == StageComputed {
+			inFlight = v
+		}
+	}
+	return res, inFlight
 }
 
 // TestCheckpointNeverRecordsCutShortEliminate: a cancel that lands inside
@@ -189,9 +201,9 @@ func TestCheckpointNeverRecordsCutShortEliminate(t *testing.T) {
 			}
 			continue // the cut-short step was the first possible snapshot point
 		}
-		if snap.NextVertex > int64(v) || snap.Ecc[v] != Active {
-			t.Fatalf("nth=%d: snapshot resumes at %d with ecc[%d]=%d; want vertex %d redone",
-				nth, snap.NextVertex, v, snap.Ecc[v], v)
+		if snap.Ecc[v] != Active {
+			t.Fatalf("nth=%d: snapshot records ecc[%d]=%d; want vertex %d Active and redone",
+				nth, v, snap.Ecc[v], v)
 		}
 		resumed := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
 		if !resumed.Resumed {
@@ -201,6 +213,66 @@ func TestCheckpointNeverRecordsCutShortEliminate(t *testing.T) {
 			t.Fatalf("nth=%d: resumed (diam %d, computed %d), fresh (%d, %d)", nth,
 				resumed.Diameter, resumed.Stats.Computed, fresh.Diameter, fresh.Stats.Computed)
 		}
+	}
+}
+
+// TestCheckpointResumeAcrossWorkerCounts: a snapshot carries no scan
+// position, only the Active set, so a Workers=1 snapshot resumed at
+// Workers=2 rebuilds the same scan list and finishes the same solve.
+func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
+	g := gen.Grid2D(60, 60)
+	fresh := Diameter(g, Options{Workers: 1})
+	dir := t.TempDir()
+	cancelInMainLoopEliminate(t, g, dir, 3)
+	path := filepath.Join(dir, checkpoint.FileName)
+	res := Diameter(g, Options{Workers: 2, Checkpoint: CheckpointOptions{ResumeFrom: path}})
+	if !res.Resumed {
+		t.Fatalf("resume rejected: %q", res.ResumeError)
+	}
+	if res.Diameter != fresh.Diameter || res.Stats.Computed != fresh.Stats.Computed {
+		t.Fatalf("resumed at Workers=2: diameter %d computed %d; uninterrupted: %d, %d",
+			res.Diameter, res.Stats.Computed, fresh.Diameter, fresh.Stats.Computed)
+	}
+	if res.Stats.EccBFS > fresh.Stats.EccBFS+1 {
+		t.Fatalf("resumed run did %d BFS in all, uninterrupted %d: more than the one in flight redone",
+			res.Stats.EccBFS, fresh.Stats.EccBFS)
+	}
+}
+
+// TestResumeRejectsVersion2Snapshot: a version-2 snapshot, which still
+// carried a scan position, is refused, and the solve degrades to an exact
+// fresh one.
+func TestResumeRejectsVersion2Snapshot(t *testing.T) {
+	g := gen.Grid2D(60, 60)
+	fresh := Diameter(g, Options{Workers: 1})
+	dir := t.TempDir()
+	cancelInMainLoopEliminate(t, g, dir, 3)
+	path := filepath.Join(dir, checkpoint.FileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the payload into the version-2 layout: version 2, and the
+	// 8-byte NextVertex after the witness pair, under a fresh CRC.
+	const magicLen, nextVertexAt = 8, 4 + 32 + 4*4
+	payload := data[magicLen : len(data)-4]
+	v2 := binary.LittleEndian.AppendUint32(nil, 2)
+	v2 = append(v2, payload[4:nextVertexAt]...)
+	v2 = binary.LittleEndian.AppendUint64(v2, 0)
+	v2 = append(v2, payload[nextVertexAt:]...)
+	file := append(slices.Clone(data[:magicLen]), v2...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(v2))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
+	if res.Resumed || !strings.Contains(res.ResumeError, "version 2") {
+		t.Fatalf("Resumed=%v ResumeError=%q, want a version-2 rejection", res.Resumed, res.ResumeError)
+	}
+	if res.Diameter != fresh.Diameter || res.Stats.EccBFS != fresh.Stats.EccBFS {
+		t.Fatalf("fallback solve: diameter %d with %d BFS, fresh %d with %d",
+			res.Diameter, res.Stats.EccBFS, fresh.Diameter, fresh.Stats.EccBFS)
 	}
 }
 

@@ -133,16 +133,19 @@ type solver struct {
 	cancelFlag atomic.Bool
 
 	// ck is the crash-safe checkpointing state (see checkpoint.go). A
-	// restored snapshot sets resumed/resumeNext and base, the restored
-	// counters that let Stats continue across the process boundary (zero
-	// for a fresh solve); a rejected restore records its reason in
-	// resumeErr and the run degrades to a fresh solve.
-	ck         ckptState
-	resumed    bool
-	resumeErr  string
-	resumeNext int
-	base       checkpoint.Counters
-	t0         time.Time
+	// restored snapshot sets resumed and base, the restored counters that
+	// let Stats continue across the process boundary (zero for a fresh
+	// solve); a rejected restore records its reason in resumeErr and the
+	// run degrades to a fresh solve.
+	ck        ckptState
+	resumed   bool
+	resumeErr string
+	base      checkpoint.Counters
+	t0        time.Time
+
+	// order is the main loop's scan list: the vertices still Active when
+	// the loop starts, in ascending (d(start, v), v) order (survivorOrder).
+	order []graph.Vertex
 
 	// MS-BFS batching cost-model state (batch.go). pruneEWMA tracks the
 	// recent removals-per-evaluation average (-1 until the first main-loop
@@ -353,17 +356,27 @@ func (s *solver) run() Result {
 	// Checkpointing and resume. A restored snapshot was captured at a
 	// main-loop boundary, so the 2-sweep, Winnow and Chain stages are
 	// already reflected in its state arrays and the run jumps straight
-	// to the main loop at the recorded resume index; a rejected restore
+	// to the main loop over the restored Active set; a rejected restore
 	// (missing, corrupt, wrong graph) degrades to a fresh solve.
 	s.initCheckpoint()
 	var infinite bool
 	var tEcc time.Time
+	// dist holds d(start, v) until the main loop's scan list is built
+	// from it; maxDist = ecc(start) is its largest entry.
+	dist := make([]int32, n)
+	var maxDist int32
 	if s.tryResume() {
 		infinite = s.ck.infinite
 		// The snapshot carries no eccentricity of u, so the resumed
 		// corridor opens at the trivial cap.
 		s.capUB(int32(n) - 1)
 		s.publishBounds()
+		// Rebuilding the scan order costs one BFS from the restored
+		// start. It evaluates nothing, so it is not an eccentricity BFS;
+		// a cancel that cuts it short leaves vertices at dist −1, which
+		// only moves them to the end of an order the loop abandons at
+		// once.
+		maxDist = s.e.Distances(s.start, dist)
 	} else {
 		// Starting vertex: the maximum-degree vertex u (§3), or — for the
 		// "no 'u'" ablation — the first vertex with at least one edge.
@@ -383,7 +396,8 @@ func (s *solver) run() Result {
 			}
 		}
 		tEcc = time.Now()
-		uEcc := s.e.Eccentricity(s.start)
+		uEcc := s.e.Distances(s.start, dist)
+		maxDist = uEcc
 		s.stats.EccBFS++
 		s.stats.TimeEcc += time.Since(tEcc)
 		if s.e.Aborted() {
@@ -407,7 +421,7 @@ func (s *solver) run() Result {
 			}
 		}
 		s.setComputed(s.start, uEcc)
-		w := s.e.LastFrontier()[0]
+		w := sweepPartner(s.e.LastFrontier())
 		s.raiseLB(uEcc, s.start, w)
 		if w != s.start && !s.cancelled() {
 			tEcc = time.Now()
@@ -453,24 +467,29 @@ func (s *solver) run() Result {
 		}
 	}
 
-	// Main loop (Algorithm 1): evaluate the remaining active vertices.
+	// Main loop (Algorithm 1): evaluate the remaining active vertices,
+	// nearest start first. Eliminate's ball radius is bound − ecc(v), and
+	// the vertices near start tend to have the smallest eccentricities, so
+	// their large balls remove the outer survivors before the scan reaches
+	// them (DESIGN.md §1, step 5).
+	s.order = survivorOrder(s.ecc, dist, maxDist)
 	s.beginStage("main-loop")
 	s.ck.infinite = infinite
 	completed := true
-	for v := s.resumeNext; v < n; v++ {
+	for i, v := range s.order {
 		// ε-early-exit: stop as soon as the corridor is within tolerance.
 		// The check runs before the Active skip so a tolerance met by the
 		// 2-sweep/Winnow stages (or a resumed snapshot) stops the loop on
 		// entry. The stopping point is checkpointed so a later exact (or
 		// tighter-ε) run refines from here instead of starting over — every
-		// vertex below v is already removed or computed, which is exactly
-		// the snapshot's NextVertex contract.
+		// vertex the loop has passed is already removed or computed, so the
+		// Active set is exactly the unprocessed remainder.
 		if s.epsilonReached() {
 			s.earlyExit = exitEpsilon
 			if tr != nil {
 				tr.Instant("run", "epsilon-exit")
 			}
-			s.writeCheckpoint(int64(v))
+			s.writeCheckpoint()
 			completed = false
 			break
 		}
@@ -483,17 +502,17 @@ func (s *solver) run() Result {
 			}
 			// Persist the interruption point so a later run resumes here
 			// instead of starting over (no-op without a checkpoint dir).
-			s.writeCheckpoint(int64(v))
+			s.writeCheckpoint()
 			completed = false
 			break
 		}
 		// Batched evaluation (§DESIGN 11): when the cost model says the
 		// remaining survivors are bulk work, consume the next ≤64 of them
 		// with one bit-parallel MS-BFS instead of one BFS each. runBatch
-		// commits in index order, so resuming the loop scan at v simply
-		// skips the vertices the batch computed (or pruned).
+		// commits in list order, so the scan simply skips the vertices the
+		// batch computed (or pruned).
 		if s.batchEligible() {
-			if !s.runBatch(v) {
+			if !s.runBatch(i) {
 				completed = false
 				break
 			}
@@ -501,32 +520,31 @@ func (s *solver) run() Result {
 			// other source the batch committed fails the Active check.
 			continue
 		}
-		s.ck.loopV = v
 		s.ck.calls++
 		tEcc = time.Now()
 		s.ck.armed = true
-		vecc := s.e.Eccentricity(graph.Vertex(v))
+		vecc := s.e.Eccentricity(v)
 		s.ck.armed = false
 		s.stats.EccBFS++
 		s.stats.TimeEcc += time.Since(tEcc)
 		if s.e.Aborted() {
 			// The truncated level count still lower-bounds ecc(v); use it
 			// if it beats the bound, but never record it as exact.
-			s.raiseLB(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
+			s.raiseLB(vecc, v, s.e.LastFrontier()[0])
 			if tr != nil {
 				tr.Instant("run", "cancelled")
 			}
-			s.writeCheckpoint(int64(v))
+			s.writeCheckpoint()
 			completed = false
 			break
 		}
 		before := s.removedTotal()
-		s.setComputed(graph.Vertex(v), vecc)
+		s.setComputed(v, vecc)
 		switch {
 		case vecc > s.bound:
 			// New lower bound for the diameter: extend the winnow
 			// ball and all prior eliminated regions (§4.5).
-			old := s.improveBound(vecc, graph.Vertex(v), s.e.LastFrontier()[0])
+			old := s.improveBound(vecc, v, s.e.LastFrontier()[0])
 			if !s.opt.DisableWinnow {
 				s.winnow()
 			}
@@ -539,7 +557,7 @@ func (s *solver) run() Result {
 			// Theorem 1: everything within bound−ecc(v) of v
 			// cannot beat the bound (§4.4).
 			tEl := time.Now()
-			s.eliminateFrom([]graph.Vertex{graph.Vertex(v)}, vecc, s.bound, StageEliminate)
+			s.eliminateFrom([]graph.Vertex{v}, vecc, s.bound, StageEliminate)
 			s.stats.TimeEliminate += time.Since(tEl)
 		default:
 			// vecc == bound: only v itself is removed (already
@@ -555,7 +573,7 @@ func (s *solver) run() Result {
 		// Cost-model feedback: this evaluation's pruning yield (batch.go).
 		s.notePruning(s.removedTotal() - before)
 		s.observeProgress()
-		s.ckptAfterVertex(v + 1)
+		s.ckptAfterVertex()
 	}
 	if completed {
 		// The solve is done; a leftover snapshot would only make a later
@@ -566,6 +584,51 @@ func (s *solver) run() Result {
 		tr.End("stage", "main-loop", obs.I("computed", s.stats.Computed))
 	}
 	return finish(infinite)
+}
+
+// sweepPartner picks the 2-sweep's second source from the last level of
+// start's BFS: its lowest id. Any vertex there is maximally far from start;
+// taking the lowest makes the choice independent of the order a parallel
+// kernel emitted the level in, so every worker count runs the same solve.
+func sweepPartner(last []graph.Vertex) graph.Vertex {
+	w := last[0]
+	for _, v := range last[1:] {
+		w = min(w, v)
+	}
+	return w
+}
+
+// survivorOrder lists the Active vertices of ecc in ascending
+// (dist[v], v) order: a counting sort over distances 0..maxDist, O(n +
+// maxDist). Vertices dist leaves unplaced (−1: another component, or a BFS
+// cut short) sort after every placed one, still by id.
+func survivorOrder(ecc, dist []int32, maxDist int32) []graph.Vertex {
+	unplaced := int(maxDist) + 1
+	key := func(v int) int {
+		if d := dist[v]; d >= 0 {
+			return int(d)
+		}
+		return unplaced
+	}
+	// pos[k] becomes the first slot of distance k.
+	pos := make([]int, unplaced+2)
+	for v, e := range ecc {
+		if e == Active {
+			pos[key(v)+1]++
+		}
+	}
+	for k := 1; k < len(pos); k++ {
+		pos[k] += pos[k-1]
+	}
+	order := make([]graph.Vertex, pos[len(pos)-1])
+	for v, e := range ecc {
+		if e == Active {
+			k := key(v)
+			order[pos[k]] = graph.Vertex(v)
+			pos[k]++
+		}
+	}
+	return order
 }
 
 // improveBound raises the lower bound to ecc, which src's main-loop
