@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: all build test race lint lint-new lint-negative checked bench fuzz-smoke chaos serve fmt clean
+.PHONY: all build test race lint checked bench fuzz-smoke chaos serve fmt clean
 
 all: build test
 
@@ -15,7 +15,7 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # The linter binary is a real file target, rebuilt only when its sources
-# change, so repeated `make lint` / `make lint-new` runs skip the build.
+# change, so repeated `make lint` runs skip the build.
 LINT_SRC := $(shell find cmd/fdiamlint internal/analysis -name '*.go' -not -path '*/testdata/*')
 
 $(BIN)/fdiamlint: $(LINT_SRC) go.mod
@@ -23,29 +23,13 @@ $(BIN)/fdiamlint: $(LINT_SRC) go.mod
 	$(GO) build -o $@ ./cmd/fdiamlint
 
 # lint runs go vet plus the project analyzers (cmd/fdiamlint) over the
-# whole module, exactly as CI does: once through the vettool protocol
-# (exercising the vetx fact exchange), once standalone with the
-# stale-suppression gate armed.
+# whole module, test files included, exactly as CI does. Stale
+# //fdiamlint:ignore directives are findings. The driver's own tests
+# (go test ./cmd/fdiamlint) pin its findings on the broken ci/negative
+# fixture.
 lint: $(BIN)/fdiamlint
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(BIN)/fdiamlint ./...
-	$(BIN)/fdiamlint -unused-ignores ./...
-
-# lint-new runs only the interprocedural analyzers (PR 8) — the fast loop
-# while working on context plumbing, hot-path helpers, or solver state.
-lint-new: $(BIN)/fdiamlint
-	$(BIN)/fdiamlint -only=ctxflow,deepalloc,boundmono ./...
-
-# lint-negative asserts the analyzers still catch the deliberately broken
-# fixture module (ci/negative): the run must fail and name all three
-# interprocedural analyzers.
-lint-negative: $(BIN)/fdiamlint
-	@out=$$(cd ci/negative && $(BIN)/fdiamlint ./... 2>&1); \
-	if [ $$? -eq 0 ]; then echo "fdiamlint passed the broken fixture:"; echo "$$out"; exit 1; fi; \
-	echo "$$out"; \
-	for a in ctxflow deepalloc boundmono; do \
-		echo "$$out" | grep -q "$$a:" || { echo "missing $$a finding in negative control"; exit 1; }; \
-	done
+	$(BIN)/fdiamlint ./...
 
 # checked runs the core tests with the fdiam.checked assertion layer armed:
 # paper-theorem invariants at runtime plus the naive-baseline differential.

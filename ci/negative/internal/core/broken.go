@@ -1,10 +1,10 @@
-// Package core is the CI negative control: a deliberately broken package,
+// Package core is the lint negative control: a deliberately broken package,
 // in its own nested module so the root ./... patterns never see it, that
 // the analyzers must fail. Each function below violates one of the
-// interprocedural rules; CI (and `make lint-negative`) assert that
-// fdiamlint exits non-zero and names ctxflow, deepalloc, and boundmono.
-// If a refactor of the fact substrate silently stops detecting one of
-// these shapes, this fixture is the tripwire.
+// interprocedural rules; TestNegativeFixture (cmd/fdiamlint) pins every
+// finding, crosspkg.go's included. If a refactor of the fact substrate or
+// the driver silently stops detecting one of these shapes, this fixture
+// is the tripwire.
 package core
 
 import (

@@ -1,23 +1,22 @@
-// Command fdiamlint runs the project's custom static analyzers
-// (internal/analysis: nakedgo, atomicfield, hotalloc, errdrop) over fdiam
-// packages. It speaks two protocols:
+// Command fdiamlint runs the project's static analyzers (internal/analysis)
+// over fdiam packages:
 //
-//	fdiamlint ./...                      # standalone, like a mini multichecker
-//	go vet -vettool=$(which fdiamlint) ./...   # cmd/go unit-checking protocol
+//	fdiamlint ./...
 //
-// The standalone mode loads packages through `go list -deps -export`, so
-// dependencies are consumed as compiler export data rather than re-parsed
-// source; the vettool mode implements the JSON .cfg contract cmd/go uses
-// for vet tools (the same contract as x/tools' unitchecker, reimplemented
-// here because this build environment has no module network access).
+// It loads the matched packages, their test variants and the compiler
+// export data of every dependency in one `go list -e -test -deps -export`
+// call, summarizes each package's functions in dependency order, and runs
+// the full suite over every matched package. Function summaries stay in
+// memory; the interprocedural analyzers (ctxflow, deepalloc) read the
+// summaries of every package a unit imports. Reasoned //fdiamlint:ignore
+// directives that suppress nothing are reported as stale.
 //
-// Exit status: 0 clean, 1 usage or load failure, 2 diagnostics reported
-// (matching go vet's expectation for its vet tools).
+// Exit status: 0 clean, 1 usage or load failure (a file that does not
+// parse or type-check, _test.go files included), 2 diagnostics reported.
 package main
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"strings"
@@ -29,103 +28,27 @@ func main() {
 	args := os.Args[1:]
 	for _, a := range args {
 		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion()
-			return
-		case a == "-flags" || a == "--flags":
-			// cmd/go interrogates vet tools for their flag set; the suite
-			// is not configurable through vet, so the answer is empty
-			// (standalone-mode flags like -only stay out of the protocol).
-			fmt.Println("[]")
-			return
 		case a == "-h" || a == "-help" || a == "--help":
 			usage(os.Stdout)
 			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-
-	// Standalone-mode flags precede the package patterns.
-	var opts standaloneOpts
-	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		switch arg := args[0]; {
-		case arg == "-unused-ignores":
-			opts.unusedIgnores = true
-		case strings.HasPrefix(arg, "-only="):
-			names, err := pickAnalyzers(strings.TrimPrefix(arg, "-only="))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fdiamlint: %v\n", err)
-				os.Exit(1)
-			}
-			opts.analyzers = names
-		default:
-			fmt.Fprintf(os.Stderr, "fdiamlint: unknown flag %s\n", arg)
+		case strings.HasPrefix(a, "-"):
+			fmt.Fprintf(os.Stderr, "fdiamlint: unknown flag %s\n", a)
 			usage(os.Stderr)
 			os.Exit(1)
 		}
-		args = args[1:]
 	}
 	if len(args) == 0 {
 		usage(os.Stderr)
 		os.Exit(1)
 	}
-	if opts.analyzers != nil && opts.unusedIgnores {
-		// A partial run cannot tell a stale directive from one whose
-		// analyzer was skipped.
-		fmt.Fprintf(os.Stderr, "fdiamlint: -unused-ignores requires the full suite (drop -only)\n")
-		os.Exit(1)
-	}
-	os.Exit(standalone(args, opts))
-}
-
-// pickAnalyzers resolves a comma-separated -only list against the suite.
-func pickAnalyzers(csv string) ([]*analysis.Analyzer, error) {
-	byName := make(map[string]*analysis.Analyzer)
-	for _, a := range analysis.All() {
-		byName[a.Name] = a
-	}
-	var picked []*analysis.Analyzer
-	for _, name := range strings.Split(csv, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q in -only", name)
-		}
-		picked = append(picked, a)
-	}
-	if len(picked) == 0 {
-		return nil, fmt.Errorf("-only selected no analyzers")
-	}
-	return picked, nil
+	os.Exit(lint(".", args, os.Stdout, os.Stderr))
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: fdiamlint [-only=a,b] [-unused-ignores] <packages>   (e.g. fdiamlint ./...)\n")
-	fmt.Fprintf(w, "   or: go vet -vettool=$(which fdiamlint) <packages>\n\nflags (standalone mode only):\n")
-	fmt.Fprintf(w, "  -only=<names>    run only the named analyzers (comma-separated)\n")
-	fmt.Fprintf(w, "  -unused-ignores  also report //fdiamlint:ignore directives that suppress nothing\n\nanalyzers:\n")
+	fmt.Fprintf(w, "usage: fdiamlint <packages>   (e.g. fdiamlint ./...)\n\nanalyzers:\n")
 	for _, a := range analysis.All() {
 		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)
 	}
 	fmt.Fprintf(w, "\nsuppress one finding with a justified directive on the line above:\n")
 	fmt.Fprintf(w, "  //fdiamlint:ignore <analyzer> <reason>\n")
-}
-
-// printVersion implements the -V=full handshake: cmd/go hashes this line
-// into its action cache key, so it must change whenever the tool's
-// behavior changes. Hashing the executable itself guarantees that.
-func printVersion() {
-	h := fnv.New64a()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			_ = f.Close()
-		}
-	}
-	fmt.Printf("fdiamlint version devel-%x\n", h.Sum64())
 }

@@ -7,9 +7,8 @@
 // available, each Analyzer ports by swapping the import.
 //
 // Analyzers are pure functions from a type-checked package (a Pass) to
-// diagnostics. Drivers — cmd/fdiamlint in both its standalone and
-// `go vet -vettool` modes, and the analysistest harness — own loading and
-// reporting.
+// diagnostics. Drivers — cmd/fdiamlint and the analysistest harness — own
+// loading and reporting.
 package analysis
 
 import (
@@ -103,8 +102,8 @@ type ignoreKey struct {
 
 // directive is one parsed //fdiamlint:ignore comment, tracked for
 // suppression hygiene: reasonless directives are themselves diagnostics,
-// and reasoned directives that suppressed nothing are flagged stale under
-// -unused-ignores.
+// and reasoned directives that suppressed nothing are flagged stale in a
+// full-suite run.
 type directive struct {
 	pos      token.Pos
 	file     string
@@ -208,22 +207,20 @@ func (s *Suppressor) HygieneDiagnostics(reportUnused bool) []Diagnostic {
 
 // SuiteOptions configures one RunSuite invocation.
 type SuiteOptions struct {
-	// Deps carries the imported fact sets of the package's dependencies
-	// (decoded vetx payloads in the vettool driver, in-memory maps in the
-	// standalone driver). Nil means stdlib tables only.
+	// Deps carries the function summaries of the package's dependencies.
+	// Nil means stdlib tables only.
 	Deps Facts
 	// ReportUnused enables stale-suppression detection. Only meaningful
-	// when the full analyzer suite runs: a partial run would misreport
-	// directives for the analyzers that were skipped.
+	// when the full analyzer suite runs (cmd/fdiamlint always sets it): a
+	// partial run would misreport directives for the analyzers skipped.
 	ReportUnused bool
 }
 
-// SuiteResult is RunSuite's output: surviving diagnostics plus the facts
-// to export for dependents.
+// SuiteResult is RunSuite's output: surviving diagnostics plus the
+// package's own function summaries, for its dependents.
 type SuiteResult struct {
 	Diagnostics []Diagnostic
 	Facts       Facts
-	Summaries   *Summaries
 }
 
 // RunSuite builds the package's fact substrate, applies the analyzers, and
@@ -254,17 +251,7 @@ func RunSuite(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 		}
 	}
 	out = append(out, sup.HygieneDiagnostics(opts.ReportUnused)...)
-	return SuiteResult{Diagnostics: out, Facts: sums.Export(), Summaries: sums}, nil
-}
-
-// RunAnalyzers applies analyzers to one loaded package and returns the
-// surviving (non-suppressed) diagnostics in source order of discovery.
-// It is RunSuite without dependency facts or hygiene options, kept for
-// drivers that need only diagnostics.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	res, err := RunSuite(analyzers, fset, files, pkg, info, SuiteOptions{})
-	return res.Diagnostics, err
+	return SuiteResult{Diagnostics: out, Facts: sums.Export()}, nil
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.

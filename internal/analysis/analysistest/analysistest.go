@@ -11,12 +11,9 @@
 // line. Diagnostics with no matching want, and wants with no matching
 // diagnostic, both fail the test.
 //
-// RunWithDeps additionally loads dependency fixture packages first, builds
-// their function summaries, and round-trips the facts through the vetx
-// wire encoding before handing them to the target package — the same
-// exchange `go vet -vettool` performs between package units, so the
-// cross-package behavior of the interprocedural analyzers is tested
-// against the serialized format, not the in-memory structs.
+// RunWithDeps additionally loads dependency fixture packages first and
+// hands their function summaries to the target package, the way
+// cmd/fdiamlint threads facts between packages.
 package analysistest
 
 import (
@@ -57,7 +54,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, pkgpath string) {
 
 // RunWithDeps runs several analyzers together over one fixture package,
 // after loading the dependency fixtures in order and threading their
-// encoded facts into the target's suite run.
+// facts into the target's suite run.
 func RunWithDeps(t *testing.T, analyzers []*analysis.Analyzer, dir, pkgpath string, deps []Dep) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -71,18 +68,7 @@ func RunWithDeps(t *testing.T, analyzers []*analysis.Analyzer, dir, pkgpath stri
 	for _, d := range deps {
 		files, pkg, info := loadFixture(t, fset, d.Dir, d.Path, imp)
 		loaded[d.Path] = pkg
-		sums := analysis.BuildSummaries(fset, files, pkg, info, depFacts)
-		// Round-trip through the vetx payload encoding, as the vettool
-		// protocol would between package units.
-		payload, err := sums.Export().Encode()
-		if err != nil {
-			t.Fatalf("encoding %s facts: %v", d.Path, err)
-		}
-		decoded, err := analysis.DecodeFacts(payload)
-		if err != nil {
-			t.Fatalf("decoding %s facts: %v", d.Path, err)
-		}
-		depFacts.Merge(decoded)
+		depFacts.Merge(analysis.BuildSummaries(fset, files, pkg, info, depFacts).Export())
 	}
 
 	files, pkg, info := loadFixture(t, fset, dir, pkgpath, imp)

@@ -47,17 +47,13 @@ func (s *Summaries) FactOf(fullName string) (FuncFact, bool) {
 	return LookupFact(s.Deps, fullName)
 }
 
-// Export returns the facts to serialize into this package's vetx file: its
-// own summaries plus a re-export of every imported fact. Re-exporting
-// transitively lets a dependent resolve calls into indirect dependencies
-// (a method value obtained through an intermediate package) without
-// holding that dependency's vetx itself.
+// Export returns the package's own function summaries, for the driver to
+// fold into the fact set its dependents see.
 func (s *Summaries) Export() Facts {
-	out := make(Facts, len(s.Funcs)+len(s.Deps))
+	out := make(Facts, len(s.Funcs))
 	for name, fi := range s.Funcs {
 		out[name] = fi.Fact
 	}
-	out.Merge(s.Deps)
 	return out
 }
 

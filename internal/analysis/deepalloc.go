@@ -6,8 +6,8 @@ import "sort"
 // //fdiam:hotpath body syntactically, so a kernel that outsources its
 // allocation to a helper one call away passes unnoticed — exactly the
 // regression shape that crept in twice during the PR 1 pool work. Using
-// the Allocates facts from the package summaries (which propagate across
-// package boundaries through vetx), DeepAlloc flags every call from a
+// the Allocates facts from the package summaries (which the driver carries
+// across package boundaries), DeepAlloc flags every call from a
 // hotpath kernel to a function whose summary allocates, unless the callee
 // is itself //fdiam:hotpath-annotated — an audited kernel whose body
 // hotalloc and DeepAlloc police directly.

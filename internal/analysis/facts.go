@@ -1,84 +1,42 @@
 package analysis
 
-import (
-	"encoding/json"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // FuncFact is one function's interprocedural summary: everything the
 // cross-package analyzers (ctxflow, deepalloc) need to know about a callee
 // without seeing its body. Facts are computed per package by BuildSummaries
-// and serialized through the vetx side channel of the `go vet -vettool`
-// protocol, so a unit sees the summaries of every dependency it imports.
+// and handed, in memory, to every package analyzed after it, so a unit
+// sees the summaries of every dependency it imports.
 type FuncFact struct {
 	// Blocks records that calling the function may park the calling
 	// goroutine: a channel operation, a select without default, or a call
 	// to something that blocks (transitively, via the fixpoint in
 	// BuildSummaries). BlockWhy is the first witness found.
-	Blocks   bool   `json:"b,omitempty"`
-	BlockWhy string `json:"bw,omitempty"`
+	Blocks   bool
+	BlockWhy string
 	// Allocates records that the function performs work hotalloc would
 	// reject in a //fdiam:hotpath body — make, growing append, time.Now,
 	// fmt — directly or via a callee. AllocWhy is the first witness.
-	Allocates bool   `json:"a,omitempty"`
-	AllocWhy  string `json:"aw,omitempty"`
+	Allocates bool
+	AllocWhy  string
 	// TakesCtx records that the first parameter is a context.Context.
-	TakesCtx bool `json:"c,omitempty"`
+	TakesCtx bool
 	// Hotpath records a //fdiam:hotpath annotation: the function is an
 	// audited kernel, so deepalloc stops propagating Allocates through it
 	// (hotalloc checks its body directly).
-	Hotpath bool `json:"h,omitempty"`
+	Hotpath bool
 	// WritesBounds records that the function writes the solver's
 	// monotone bound state (ecc/stage/bound/ubCap) — only ever true for
 	// functions in internal/core, where boundmono polices the writes.
-	WritesBounds bool `json:"wb,omitempty"`
+	WritesBounds bool
 }
 
 // Facts maps a function's types.Func FullName — e.g.
 // "(*sync.WaitGroup).Wait" or "fdiam/internal/par.For" — to its summary.
 type Facts map[string]FuncFact
 
-// factsHeader versions the vetx payload. Decode treats any file that does
-// not start with it (including the pre-facts marker files older fdiamlint
-// builds wrote) as an empty fact set rather than an error, so mixed caches
-// degrade to intra-package analysis instead of breaking `go vet`.
-const factsHeader = "fdiamlint-facts-v1\n"
-
-// Encode serializes facts deterministically (sorted keys) for the vetx file.
-func (f Facts) Encode() ([]byte, error) {
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ordered := make(map[string]FuncFact, len(f))
-	for _, k := range keys {
-		ordered[k] = f[k]
-	}
-	body, err := json.Marshal(ordered)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(factsHeader), body...), nil
-}
-
-// DecodeFacts parses a vetx payload produced by Encode. Unrecognized or
-// legacy payloads yield an empty, usable fact set.
-func DecodeFacts(data []byte) (Facts, error) {
-	rest, ok := strings.CutPrefix(string(data), factsHeader)
-	if !ok {
-		return Facts{}, nil
-	}
-	f := Facts{}
-	if err := json.Unmarshal([]byte(rest), &f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Merge folds other into f, preferring existing entries (a package's own
-// summary wins over a re-exported copy from a dependency).
+// Merge folds other into f, preferring existing entries (a package and its
+// test variant summarize the same functions; the first summary stays).
 func (f Facts) Merge(other Facts) {
 	for k, v := range other {
 		if _, ok := f[k]; !ok {

@@ -1,64 +1,6 @@
 package analysis
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
-
-func TestFactsEncodeDecodeRoundTrip(t *testing.T) {
-	in := Facts{
-		"example.com/p.Block": {Blocks: true, BlockWhy: "chan receive"},
-		"example.com/p.Hot":   {Hotpath: true},
-		"example.com/p.Mixed": {
-			Blocks: true, BlockWhy: "calls example.com/q.Wait",
-			Allocates: true, AllocWhy: "make",
-			TakesCtx: true, WritesBounds: true,
-		},
-		"example.com/p.zero": {},
-	}
-	payload, err := in.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(payload, []byte(factsHeader)) {
-		t.Fatalf("payload missing version header: %q", payload[:20])
-	}
-	out, err := DecodeFacts(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round-trip mismatch:\n in: %#v\nout: %#v", in, out)
-	}
-
-	// Encoding is deterministic: byte-identical across runs, so the vetx
-	// content (and go's action-cache keys built on it) are stable.
-	again, err := in.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(payload, again) {
-		t.Errorf("Encode is not deterministic")
-	}
-}
-
-// TestDecodeFactsTolerant pins the degrade-to-empty contract for legacy or
-// foreign vetx content: anything without the version header is an empty
-// fact set, not an error, so stale caches cannot break `go vet`.
-func TestDecodeFactsTolerant(t *testing.T) {
-	for _, data := range [][]byte{nil, {}, []byte("fdiamlint\n"), []byte("garbage")} {
-		f, err := DecodeFacts(data)
-		if err != nil || len(f) != 0 {
-			t.Errorf("DecodeFacts(%q) = %v, %v; want empty, nil", data, f, err)
-		}
-	}
-	// A versioned but corrupt body is a real error: same version must mean
-	// same format.
-	if _, err := DecodeFacts([]byte(factsHeader + "{corrupt")); err == nil {
-		t.Errorf("corrupt versioned payload did not error")
-	}
-}
+import "testing"
 
 func TestFactsMergePrefersExisting(t *testing.T) {
 	f := Facts{"p.F": {Blocks: true, BlockWhy: "own summary"}}

@@ -59,8 +59,8 @@ func TestBoundMono(t *testing.T) {
 
 // TestFactPropagation runs ctxflow and deepalloc over a package whose only
 // blocking and allocating paths cross a package boundary: the dependency
-// fixture is summarized separately and its facts arrive through the vetx
-// wire encoding, as in a real `go vet -vettool` run.
+// fixture is summarized separately and its facts are handed to the target,
+// as cmd/fdiamlint does between packages.
 func TestFactPropagation(t *testing.T) {
 	analysistest.RunWithDeps(t,
 		[]*analysis.Analyzer{analysis.CtxFlow, analysis.DeepAlloc},
@@ -68,8 +68,8 @@ func TestFactPropagation(t *testing.T) {
 		[]analysistest.Dep{{Dir: "factdep", Path: "example.com/factdep"}})
 }
 
-// TestAllStableOrder pins the suite composition: the vettool's -V=full
-// version string and CI logs both assume this order.
+// TestAllStableOrder pins the suite composition: the usage text and CI
+// logs both assume this order.
 func TestAllStableOrder(t *testing.T) {
 	want := []string{"nakedgo", "atomicfield", "hotalloc", "errdrop", "logkeys",
 		"ctxflow", "deepalloc", "boundmono"}
@@ -123,7 +123,7 @@ func f() {
 
 // TestSuppressionHygiene checks the directive-discipline reporting: a
 // reasonless directive is always a finding, a reasoned-but-unhit one only
-// under the unused-ignores mode, and a hit directive never.
+// in a full-suite run, and a hit directive never.
 func TestSuppressionHygiene(t *testing.T) {
 	src := `package p
 
@@ -158,17 +158,17 @@ func f() {
 	}
 	plain := sup.HygieneDiagnostics(false)
 	if got := count(plain, "suppresses nothing"); got != 1 {
-		t.Errorf("reasonless findings without -unused-ignores = %d, want 1", got)
+		t.Errorf("reasonless findings without ReportUnused = %d, want 1", got)
 	}
 	if got := count(plain, "stale"); got != 0 {
-		t.Errorf("stale findings without -unused-ignores = %d, want 0", got)
+		t.Errorf("stale findings without ReportUnused = %d, want 0", got)
 	}
 	full := sup.HygieneDiagnostics(true)
 	if got := count(full, "stale"); got != 1 {
-		t.Errorf("stale findings with -unused-ignores = %d, want 1 (the unhit line-6 directive)", got)
+		t.Errorf("stale findings with ReportUnused = %d, want 1 (the unhit line-6 directive)", got)
 	}
 	if got := count(full, "suppresses nothing"); got != 1 {
-		t.Errorf("reasonless findings with -unused-ignores = %d, want 1", got)
+		t.Errorf("reasonless findings with ReportUnused = %d, want 1", got)
 	}
 }
 

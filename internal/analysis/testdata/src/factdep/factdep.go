@@ -1,13 +1,13 @@
 // Dependency half of the cross-package fact-propagation fixture: this
-// package's summaries are built first, encoded to the vetx wire format,
-// decoded, and handed to the dependent package (factuse) — exactly the
-// exchange `go vet -vettool` performs between package units.
+// package's summaries are built first and handed to the dependent
+// package (factuse), as cmd/fdiamlint hands each package's summaries to
+// the packages analyzed after it.
 package factdep
 
-// Alloc allocates: the Allocates fact must survive the round-trip.
+// Alloc allocates: the Allocates fact must reach the dependent package.
 func Alloc(n int) []int { return make([]int, n) }
 
-// Wait blocks: the Blocks fact must survive the round-trip.
+// Wait blocks: the Blocks fact must reach the dependent package.
 func Wait(c chan int) int { return <-c }
 
 // Chain blocks only transitively through Wait, so the dependent package

@@ -20,7 +20,6 @@ var algos = []algo{
 	{"takeskosters", TakesKosters},
 	{"korf", Korf},
 	{"naive", Naive},
-	{"vertexcentric", VertexCentric},
 }
 
 func checkAll(t *testing.T, name string, g *graph.Graph) {

@@ -274,7 +274,7 @@ func TestExtensionExperiments(t *testing.T) {
 	TableAllEcc(context.Background(), &buf, tinyCatalog(t), cfg)
 	TableDirOpt(&buf, tinyCatalog(t), cfg)
 	out := buf.String()
-	for _, want := range []string{"Korf", "Vertex-centric", "all-vertex eccentricities", "direction-optimized"} {
+	for _, want := range []string{"Korf", "Naive APSP-BFS", "all-vertex eccentricities", "direction-optimized"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("extension output missing %q", want)
 		}

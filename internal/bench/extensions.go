@@ -14,11 +14,11 @@ import (
 )
 
 // Extension experiments beyond the paper's evaluation: the related-work
-// algorithms the paper discusses but does not benchmark (Korf's
-// partial-BFS, the vertex-centric scheme), the stronger Takes–Kosters
-// selection, and the bounded all-eccentricities computation. They document
-// where F-Diam's advantage comes from and what the neighboring design
-// points cost.
+// algorithm the paper discusses but does not benchmark (Korf's
+// partial-BFS), naive all-pairs BFS, the stronger Takes–Kosters selection,
+// and the bounded all-eccentricities computation. They document where
+// F-Diam's advantage comes from and what the neighboring design points
+// cost.
 
 // ExtensionCodes returns the additional diameter codes.
 func ExtensionCodes() []Code {
@@ -30,14 +30,8 @@ func ExtensionCodes() []Code {
 		{Name: "Korf", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
 			return fromBaseline(baseline.Korf(g, baseline.Options{Workers: workers, Timeout: to}))
 		}},
-		{Name: "Vertex-centric", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
-			return fromBaseline(baseline.VertexCentric(g, baseline.Options{Workers: workers, Timeout: to}))
-		}},
 		{Name: "Naive APSP-BFS", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
 			return fromBaseline(baseline.Naive(g, baseline.Options{Workers: workers, Timeout: to}))
-		}},
-		{Name: "Blocked F-W", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
-			return fromBaseline(baseline.FloydWarshall(g, baseline.Options{Workers: workers, Timeout: to}))
 		}},
 	}
 }

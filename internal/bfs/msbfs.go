@@ -1,9 +1,7 @@
 package bfs
 
 import (
-	"context"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"fdiam/internal/graph"
@@ -93,12 +91,6 @@ type msState struct {
 // Duplicate sources are allowed (their bits travel together). The result
 // slices are engine-owned and valid until the next traversal.
 func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
-	return e.msRun(sources, true)
-}
-
-// msRun is the shared batch core; wantWit gates the per-bit witness
-// extraction so eccentricity-only callers skip its serial pass.
-func (e *Engine) msRun(sources []graph.Vertex, wantWit bool) MultiSourceResult {
 	if len(sources) > 64 {
 		panic("bfs: MultiSourceRun batch exceeds 64 sources")
 	}
@@ -178,14 +170,12 @@ func (e *Engine) msRun(sources []graph.Vertex, wantWit bool) MultiSourceResult {
 		for b := advanced; b != 0; b &= b - 1 {
 			ms.ecc[bits.TrailingZeros64(b)] = level
 		}
-		if wantWit {
-			// Witness extraction stays serial: two frontier vertices
-			// carrying the same bit would race on wit[b], and any one
-			// of them is a valid witness anyway.
-			for _, w := range ms.nextAct {
-				for b := ms.next[w]; b != 0; b &= b - 1 {
-					ms.wit[bits.TrailingZeros64(b)] = w
-				}
+		// Witness extraction stays serial: two frontier vertices carrying
+		// the same bit would race on wit[b], and any one of them is a
+		// valid witness anyway.
+		for _, w := range ms.nextAct {
+			for b := ms.next[w]; b != 0; b &= b - 1 {
+				ms.wit[bits.TrailingZeros64(b)] = w
 			}
 		}
 		e.msSwapFrontier()
@@ -389,46 +379,4 @@ func (e *Engine) msSwapFrontier() {
 	}
 	clearOld(0, len(ms.active))
 	install(0, len(ms.nextAct))
-}
-
-// MultiSourceEccentricities computes the eccentricity of every source with
-// batches of 64 through the MS-BFS engine core. The returned slice is
-// parallel to sources; each eccentricity is within the source's connected
-// component. workers < 1 selects the default. Cancelling ctx stops the
-// work between levels (the engine's SetCancel contract); eccentricities
-// not yet computed are left at zero and completed batches keep their exact
-// values, so partial results remain valid lower bounds.
-func MultiSourceEccentricities(ctx context.Context, g *graph.Graph, sources []graph.Vertex, workers int) []int32 {
-	eccs := make([]int32, len(sources))
-	if g.NumVertices() == 0 || len(sources) == 0 {
-		return eccs
-	}
-	e := New(g, workers)
-	defer e.Close()
-	if ctx.Done() != nil {
-		var stop atomic.Bool
-		defer context.AfterFunc(ctx, func() { stop.Store(true) })()
-		e.SetCancel(&stop)
-	}
-	for base := 0; base < len(sources); base += 64 {
-		batch := sources[base:]
-		if len(batch) > 64 {
-			batch = batch[:64]
-		}
-		res := e.msRun(batch, false)
-		copy(eccs[base:], res.Ecc)
-		if res.Aborted {
-			break
-		}
-	}
-	return eccs
-}
-
-// AllEccentricitiesMS computes the eccentricity of every vertex via MS-BFS.
-func AllEccentricitiesMS(ctx context.Context, g *graph.Graph, workers int) []int32 {
-	sources := make([]graph.Vertex, g.NumVertices())
-	for i := range sources {
-		sources[i] = graph.Vertex(i)
-	}
-	return MultiSourceEccentricities(ctx, g, sources, workers)
 }

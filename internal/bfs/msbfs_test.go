@@ -1,13 +1,24 @@
 package bfs
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
 )
+
+// msEccs runs sources through MultiSourceRun in batches of 64 and returns
+// their eccentricities, parallel to sources.
+func msEccs(g *graph.Graph, sources []graph.Vertex, workers int) []int32 {
+	e := New(g, workers)
+	defer e.Close()
+	eccs := make([]int32, 0, len(sources))
+	for base := 0; base < len(sources); base += 64 {
+		eccs = append(eccs, e.MultiSourceRun(sources[base:min(base+64, len(sources))]).Ecc...)
+	}
+	return eccs
+}
 
 func TestMultiSourceEccentricitiesMatchesSingleSource(t *testing.T) {
 	for name, g := range testGraphs() {
@@ -17,7 +28,11 @@ func TestMultiSourceEccentricitiesMatchesSingleSource(t *testing.T) {
 		}
 		// All vertices as sources (exercises multiple batches on the
 		// larger graphs).
-		got := AllEccentricitiesMS(context.Background(), g, 2)
+		all := make([]graph.Vertex, n)
+		for v := range all {
+			all[v] = graph.Vertex(v)
+		}
+		got := msEccs(g, all, 2)
 		e := New(g, 1)
 		for v := 0; v < n; v++ {
 			want := e.Eccentricity(graph.Vertex(v))
@@ -31,7 +46,7 @@ func TestMultiSourceEccentricitiesMatchesSingleSource(t *testing.T) {
 func TestMultiSourceSubset(t *testing.T) {
 	g := gen.Grid2D(9, 7)
 	sources := []graph.Vertex{0, 5, 31, 62}
-	got := MultiSourceEccentricities(context.Background(), g, sources, 1)
+	got := msEccs(g, sources, 1)
 	e := New(g, 1)
 	for i, s := range sources {
 		if want := e.Eccentricity(s); got[i] != want {
@@ -49,7 +64,7 @@ func TestMultiSourceBatchBoundary(t *testing.T) {
 		for i := range sources {
 			sources[i] = graph.Vertex(i)
 		}
-		got := MultiSourceEccentricities(context.Background(), g, sources, 1)
+		got := msEccs(g, sources, 1)
 		for i, s := range sources {
 			if want := e.Eccentricity(s); got[i] != want {
 				t.Fatalf("count=%d: ecc(%d) = %d, want %d", count, s, got[i], want)
@@ -59,11 +74,11 @@ func TestMultiSourceBatchBoundary(t *testing.T) {
 }
 
 func TestMultiSourceIsolatedAndEmpty(t *testing.T) {
-	if got := MultiSourceEccentricities(context.Background(), graph.NewBuilder(0).Build(), nil, 1); len(got) != 0 {
+	if got := msEccs(graph.NewBuilder(0).Build(), nil, 1); len(got) != 0 {
 		t.Fatal("empty graph")
 	}
 	g := graph.NewBuilder(3).Build() // three isolated vertices
-	got := MultiSourceEccentricities(context.Background(), g, []graph.Vertex{0, 1, 2}, 1)
+	got := msEccs(g, []graph.Vertex{0, 1, 2}, 1)
 	for _, e := range got {
 		if e != 0 {
 			t.Fatalf("isolated vertex ecc = %d", e)
@@ -76,8 +91,8 @@ func TestMultiSourceParallelAgrees(t *testing.T) {
 	g2 := gen.RMAT(13, 6, gen.DefaultRMAT, 13)
 	for _, gg := range []*graph.Graph{g, g2} {
 		sources := []graph.Vertex{0, 1, 2, 100, 500}
-		a := MultiSourceEccentricities(context.Background(), gg, sources, 1)
-		b := MultiSourceEccentricities(context.Background(), gg, sources, 4)
+		a := msEccs(gg, sources, 1)
+		b := msEccs(gg, sources, 4)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("worker mismatch at %d: %d vs %d", i, a[i], b[i])
@@ -260,9 +275,10 @@ func BenchmarkMultiSource64(b *testing.B) {
 	for i := range sources {
 		sources[i] = graph.Vertex(i * 17)
 	}
+	e := New(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MultiSourceEccentricities(context.Background(), g, sources, 1)
+		e.MultiSourceRun(sources)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"fdiam/internal/ecc"
@@ -385,17 +386,55 @@ func TestChainHeavyShapes(t *testing.T) {
 
 func TestDiameterInvariantUnderRelabeling(t *testing.T) {
 	// Relabeling changes which vertex the max-degree tie-break selects
-	// and the whole traversal order; the diameter must not care.
+	// and the whole traversal order; the diameter must not care. Two
+	// relabelings: BFS discovery order from the max-degree vertex, and
+	// descending degree.
 	for seed := uint64(0); seed < 8; seed++ {
 		g := gen.WithChains(gen.RandomConnected(120, 80, seed+7000), 3, 5, seed+7100)
 		want := Diameter(g, Options{}).Diameter
-		for _, order := range [][]graph.Vertex{graph.BFSOrder(g), graph.DegreeOrder(g)} {
-			p := graph.Permute(g, order)
-			if got := Diameter(p, Options{}).Diameter; got != want {
+		n := g.NumVertices()
+		bfsOrder := []graph.Vertex{g.MaxDegreeVertex()}
+		seen := make([]bool, n)
+		seen[bfsOrder[0]] = true
+		for head := 0; head < len(bfsOrder); head++ {
+			for _, w := range g.Neighbors(bfsOrder[head]) {
+				if !seen[w] {
+					seen[w] = true
+					bfsOrder = append(bfsOrder, w)
+				}
+			}
+		}
+		if len(bfsOrder) != n {
+			t.Fatalf("seed %d: graph is not connected", seed)
+		}
+		degOrder := make([]graph.Vertex, n)
+		for i := range degOrder {
+			degOrder[i] = graph.Vertex(i)
+		}
+		sort.SliceStable(degOrder, func(i, j int) bool { return g.Degree(degOrder[i]) > g.Degree(degOrder[j]) })
+		for _, order := range [][]graph.Vertex{bfsOrder, degOrder} {
+			if got := Diameter(relabel(g, order), Options{}).Diameter; got != want {
 				t.Errorf("seed %d: relabeled diameter %d, want %d", seed, got, want)
 			}
 		}
 	}
+}
+
+// relabel returns a copy of g in which old vertex order[i] is vertex i.
+func relabel(g *graph.Graph, order []graph.Vertex) *graph.Graph {
+	newID := make([]graph.Vertex, len(order))
+	for i, v := range order {
+		newID[v] = graph.Vertex(i)
+	}
+	b := graph.NewBuilder(len(order))
+	for v, id := range newID {
+		for _, w := range g.Neighbors(graph.Vertex(v)) {
+			if graph.Vertex(v) < w {
+				b.AddEdge(id, newID[w])
+			}
+		}
+	}
+	return b.Build()
 }
 
 func TestDiameterWitnessPair(t *testing.T) {

@@ -64,12 +64,3 @@ func BenchmarkConnectedComponents(b *testing.B) {
 		ConnectedComponents(g)
 	}
 }
-
-func BenchmarkPermute(b *testing.B) {
-	g := FromEdges(1<<14, buildRandomEdges(1<<14, 1<<17))
-	order := BFSOrder(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Permute(g, order)
-	}
-}
