@@ -42,9 +42,6 @@
 //	1  usage, input or I/O error — nothing was solved
 //	3  the solve was cancelled (Ctrl-C); the best lower bound was reported
 //	4  the solve hit -timeout; the best lower bound was reported
-//
-// -faults=list prints every registered fault-injection point and exits;
-// any other value arms the spec (overriding FDIAM_FAULTS) for chaos runs.
 package main
 
 import (
@@ -63,7 +60,6 @@ import (
 	"fdiam/internal/baseline"
 	"fdiam/internal/checkpoint"
 	"fdiam/internal/core"
-	"fdiam/internal/fault"
 	"fdiam/internal/graph"
 	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
@@ -114,17 +110,8 @@ func run(args []string, out io.Writer) (int, error) {
 	approxSweeps := fs.Int("approx", 0, "approximate: spend this many double sweeps instead of the exact solve and report the corridor; fdiam only")
 	logFormat := fs.String("log-format", "", "emit structured solver logs to stderr: text or json (empty = off)")
 	logLevel := fs.String("log-level", "info", "structured log level: debug, info, warn or error (debug includes stage and bound events)")
-	faults := fs.String("faults", "", "fault-injection spec for chaos testing (overrides "+fault.EnvVar+"; see internal/fault), or \"list\" to print known points and exit")
 	if err := fs.Parse(args); err != nil {
 		return exitError, err
-	}
-	if *faults == "list" {
-		// The inventory covers the points linked into this binary; fdiamd
-		// registers additional serve points.
-		for _, name := range fault.List() {
-			fmt.Fprintln(out, name)
-		}
-		return exitOK, nil
 	}
 	if fs.NArg() != 1 {
 		return exitError, fmt.Errorf("usage: fdiam [flags] <graph-file> (see -h)")
@@ -138,13 +125,6 @@ func run(args []string, out io.Writer) (int, error) {
 	}
 	if *approxSweeps < 0 {
 		return exitError, fmt.Errorf("-approx %d: the sweep budget cannot be negative", *approxSweeps)
-	}
-	if *faults != "" {
-		if err := fault.Configure(*faults); err != nil {
-			return exitError, err
-		}
-	} else if err := fault.ConfigureFromEnv(); err != nil {
-		return exitError, err
 	}
 
 	if *httpAddr != "" {

@@ -344,22 +344,3 @@ func TestSolveExitCodeMapping(t *testing.T) {
 		t.Errorf("both = %d, want %d", got, exitTimedOut)
 	}
 }
-
-func TestRunFaultsListAndValidation(t *testing.T) {
-	var buf bytes.Buffer
-	code, err := run([]string{"-faults", "list"}, &buf)
-	if err != nil || code != exitOK {
-		t.Fatalf("-faults=list: code %d err %v", code, err)
-	}
-	// The inventory is per-binary: fdiam links the solver and I/O points
-	// (the serve points live in fdiamd).
-	for _, want := range []string{"graphio.short_read", "checkpoint.torn_write"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("-faults=list output missing %s:\n%s", want, buf.String())
-		}
-	}
-	path := writeTempGraph(t)
-	if code, err := run([]string{"-faults", "no.such.point", path}, &buf); err == nil || code != exitError {
-		t.Errorf("bad -faults spec: code %d err %v, want fail-fast", code, err)
-	}
-}

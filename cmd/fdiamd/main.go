@@ -45,8 +45,6 @@
 // publishes the results to the caches, losing at most one checkpoint
 // interval of work. Async jobs (POST /jobs) survive process death the same
 // way: the next boot finishes them and GET /jobs/{id} finds the result.
-// FDIAM_FAULTS (or -faults) arms deterministic fault injection for chaos
-// testing; -faults=list prints every known injection point and exits.
 //
 // Examples:
 //
@@ -67,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"fdiam/internal/fault"
 	"fdiam/internal/obs"
 	"fdiam/internal/serve"
 )
@@ -98,7 +95,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	ckDir := fs.String("checkpoint-dir", "", "persist crash-safe snapshots of in-flight solves here and resume them on boot (empty = off)")
 	ckEvery := fs.Duration("checkpoint-interval", 10*time.Second, "snapshot cadence for checkpointed solves")
-	faults := fs.String("faults", "", "fault-injection spec for chaos testing (overrides "+fault.EnvVar+"; see internal/fault), or \"list\" to print known points and exit")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error (debug includes per-solve stage and bound events)")
 	runtimeMetrics := fs.Duration("runtime-metrics", 10*time.Second, "runtime self-telemetry sampling interval (heap, GC, goroutines; 0 = off)")
@@ -107,22 +103,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v (fdiamd takes only flags, see -h)", fs.Args())
-	}
-	if *faults == "list" {
-		for _, name := range fault.List() {
-			fmt.Fprintln(out, name)
-		}
-		return nil
-	}
-	if *faults != "" {
-		if err := fault.Configure(*faults); err != nil {
-			return err
-		}
-	} else if err := fault.ConfigureFromEnv(); err != nil {
-		return err
-	}
-	if active := fault.Active(); len(active) != 0 {
-		fmt.Fprintf(out, "fdiamd: fault injection armed: %v\n", active)
 	}
 	lg, err := obs.NewLogger(out, *logFormat, *logLevel)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,27 +152,5 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-addr", "256.256.256.256:99999"}, out); err == nil {
 		t.Fatal("unusable listen address accepted")
-	}
-}
-
-// TestDaemonFaultsList pins the per-binary fault inventory exactly: the
-// serve points plus the solver/I-O points shared with fdiam. Equality, not
-// containment, so a point whose code is gone cannot linger in the list.
-func TestDaemonFaultsList(t *testing.T) {
-	out := &syncBuffer{}
-	if err := run(context.Background(), []string{"-faults", "list"}, out); err != nil {
-		t.Fatalf("-faults=list: %v", err)
-	}
-	want := strings.Join([]string{
-		"checkpoint.rename_fail",
-		"checkpoint.torn_write",
-		"graphio.short_read",
-		"serve.cache_write",
-		"serve.handler_panic",
-		"serve.slow_stage",
-		"serve.staged_read",
-	}, "\n") + "\n"
-	if got := out.String(); got != want {
-		t.Errorf("-faults=list output:\n%s\nwant:\n%s", got, want)
 	}
 }

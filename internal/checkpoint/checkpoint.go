@@ -7,8 +7,8 @@
 // loss makes an hours-long solve start over. Snapshots are serialized in a
 // versioned little-endian binary format guarded by a CRC-32 of the whole
 // payload and bound to their input by a SHA-256 of the graph's CSR arrays;
-// Write is atomic (temp file + rename into place), so a crash mid-write —
-// or an injected torn write — leaves the previous snapshot intact.
+// Write is atomic (temp file + rename into place), so a crash mid-write
+// leaves the previous snapshot intact.
 // DESIGN.md §10 documents the format and the resume invariants.
 package checkpoint
 
@@ -25,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"fdiam/internal/fault"
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
@@ -50,19 +49,11 @@ const version = 3
 // one temp file.
 const FileName = "state.ckpt"
 
-// Fault-injection points for the chaos suite: a torn write fails after
-// flushing half the temp file (simulating ENOSPC/crash mid-write), a
-// rename failure fails the final atomic publish.
-var (
-	faultTornWrite  = fault.Register("checkpoint.torn_write")
-	faultRenameFail = fault.Register("checkpoint.rename_fail")
-)
-
 // Package metrics, exposed on the default registry next to the solver and
 // fdiamd instruments.
 var (
 	mWrites        = obs.Default().Counter("fdiam_checkpoint_writes_total", "checkpoint snapshots written")
-	mWriteErrors   = obs.Default().Counter("fdiam_checkpoint_write_errors_total", "checkpoint writes that failed (disk or injected fault)")
+	mWriteErrors   = obs.Default().Counter("fdiam_checkpoint_write_errors_total", "checkpoint writes that failed (create, write, sync or rename)")
 	mWriteBytes    = obs.Default().Counter("fdiam_checkpoint_written_bytes_total", "bytes of checkpoint snapshots written")
 	mRestores      = obs.Default().Counter("fdiam_checkpoint_restores_total", "snapshots successfully read and validated for resume")
 	mRestoreErrors = obs.Default().Counter("fdiam_checkpoint_restore_errors_total", "snapshot reads rejected (missing, corrupt, or graph mismatch)")
@@ -409,8 +400,10 @@ func decode(payload []byte) (*Snapshot, error) {
 
 // Write atomically publishes the snapshot at path: the payload (with magic
 // prefix and CRC-32 suffix) is written to a temp file in the same
-// directory, synced, and renamed over path. A failure at any step — disk
-// or injected — leaves any previous snapshot at path untouched.
+// directory, synced, and renamed over path. A failure at any step removes
+// the temp file and leaves any previous snapshot at path untouched; a crash
+// that leaves a temp file behind is harmless, since readers only ever open
+// path.
 func Write(path string, s *Snapshot) (err error) {
 	writeStart := mWriteSeconds.StartTimer()
 	defer func() {
@@ -435,14 +428,6 @@ func Write(path string, s *Snapshot) (err error) {
 		}
 	}()
 
-	if faultTornWrite.Hit() {
-		// Model a crash/ENOSPC mid-write: half the payload lands on disk
-		// and the write errors out. The torn temp file is cleaned up by
-		// the deferred remove; an unluckier crash that leaves it behind is
-		// harmless — readers only ever open FileName, never temps.
-		_, _ = tmp.Write(payload[:len(payload)/2])
-		return fmt.Errorf("checkpoint: %w", errors.Join(fault.ErrInjected, errors.New("torn write")))
-	}
 	if _, err = tmp.Write([]byte(magic)); err == nil {
 		if _, err = tmp.Write(payload); err == nil {
 			_, err = tmp.Write(crc[:])
@@ -456,9 +441,6 @@ func Write(path string, s *Snapshot) (err error) {
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if faultRenameFail.Hit() {
-		return fmt.Errorf("checkpoint: %w", errors.Join(fault.ErrInjected, errors.New("rename failure")))
 	}
 	if err = os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fdiam/internal/fault"
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
 )
@@ -165,10 +164,10 @@ func TestValidateCatchesInconsistency(t *testing.T) {
 	}
 }
 
-// TestTornWriteLeavesOldSnapshot arms the torn-write fault and checks the
-// previous snapshot survives intact and no temp litter corrupts reads.
+// TestTornWriteLeavesOldSnapshot leaves what a crash mid-write leaves: a
+// half-written temp file beside a good snapshot. Read must still return
+// the good snapshot, and the next Write must replace it.
 func TestTornWriteLeavesOldSnapshot(t *testing.T) {
-	t.Cleanup(fault.Reset)
 	g := gen.Path(8)
 	dir := t.TempDir()
 	path := filepath.Join(dir, FileName)
@@ -177,28 +176,23 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 	if err := Write(path, first); err != nil {
 		t.Fatal(err)
 	}
-
-	if err := fault.Configure("checkpoint.torn_write:times=1"); err != nil {
-		t.Fatal(err)
-	}
 	second := testSnapshot(g)
 	second.Bound = 7
-	err := Write(path, second)
-	if !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("torn write returned %v, want injected error", err)
+	whole := second.encode()
+	torn := filepath.Join(dir, FileName+".tmp123")
+	if err := os.WriteFile(torn, append([]byte(magic), whole[:len(whole)/2]...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	got, err := Read(path)
 	if err != nil {
-		t.Fatalf("old snapshot unreadable after torn write: %v", err)
+		t.Fatalf("old snapshot unreadable beside a torn temp file: %v", err)
 	}
 	if got.Bound != first.Bound {
 		t.Fatalf("old snapshot clobbered: bound %d", got.Bound)
 	}
-
-	// The fault fired once; the retried write must succeed and replace.
 	if err := Write(path, second); err != nil {
-		t.Fatalf("write after fault window: %v", err)
+		t.Fatalf("write after a torn write: %v", err)
 	}
 	got, err = Read(path)
 	if err != nil || got.Bound != 7 {
@@ -206,25 +200,28 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 	}
 }
 
-func TestRenameFailLeavesOldSnapshot(t *testing.T) {
-	t.Cleanup(fault.Reset)
-	g := gen.Path(8)
+// TestFailedPublishLeavesNoTemp makes the final rename fail for real: path
+// names a non-empty directory. Write must fail, count the failure, and
+// remove its temp file.
+func TestFailedPublishLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, FileName)
-	if err := Write(path, testSnapshot(g)); err != nil {
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.Configure("checkpoint.rename_fail:times=1"); err != nil {
+	before := mWriteErrors.Value()
+	if err := Write(path, testSnapshot(gen.Path(8))); err == nil {
+		t.Fatal("Write over a non-empty directory succeeded")
+	}
+	if got := mWriteErrors.Value() - before; got != 1 {
+		t.Errorf("fdiam_checkpoint_write_errors_total rose by %d, want 1", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := testSnapshot(g)
-	s2.Bound = 6
-	if err := Write(path, s2); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("rename fault returned %v", err)
-	}
-	got, err := Read(path)
-	if err != nil || got.Bound != 5 {
-		t.Fatalf("old snapshot after rename failure: %v bound=%d", err, got.Bound)
+	if len(entries) != 1 || entries[0].Name() != FileName {
+		t.Fatalf("directory after a failed publish holds %v, want only %s", entries, FileName)
 	}
 }
 

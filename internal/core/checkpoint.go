@@ -187,7 +187,7 @@ func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 }
 
 // writeCheckpoint publishes a snapshot of the current state. A failed
-// write (disk trouble or an injected fault) never fails the solve; the
+// write (disk trouble, a failed rename) never fails the solve; the
 // checkpoint package's metrics record it and the previous snapshot stays
 // in place.
 func (s *solver) writeCheckpoint() {

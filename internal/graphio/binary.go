@@ -52,15 +52,14 @@ func WriteBinary(w io.Writer, g *graph.Graph) error {
 // are decoded through one fixed-size chunk, never staged whole.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	size, sizeKnown := inputSize(r)
-	fr := faultWrap(r)
 	var hdr [24]byte
-	if _, err := io.ReadFull(fr, hdr[:8]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:8]); err != nil {
 		return nil, fmt.Errorf("graphio: binary: %w", err)
 	}
 	if string(hdr[:8]) != binaryMagic {
 		return nil, fmt.Errorf("graphio: binary: bad magic %q", hdr[:8])
 	}
-	if _, err := io.ReadFull(fr, hdr[8:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[8:]); err != nil {
 		return nil, fmt.Errorf("graphio: binary: %w", err)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
@@ -81,7 +80,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	}
 	chunk := make([]byte, 64<<10)
 	offsets := make([]int64, n+1)
-	if err := readChunks(fr, chunk, len(offsets), 8, func(i int, b []byte) {
+	if err := readChunks(r, chunk, len(offsets), 8, func(i int, b []byte) {
 		for ; len(b) > 0; b = b[8:] {
 			offsets[i] = int64(binary.LittleEndian.Uint64(b))
 			i++
@@ -90,7 +89,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: binary: offsets: %w", err)
 	}
 	targets := make([]graph.Vertex, arcs)
-	if err := readChunks(fr, chunk, len(targets), 4, func(i int, b []byte) {
+	if err := readChunks(r, chunk, len(targets), 4, func(i int, b []byte) {
 		for ; len(b) > 0; b = b[4:] {
 			targets[i] = binary.LittleEndian.Uint32(b)
 			i++

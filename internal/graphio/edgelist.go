@@ -41,14 +41,15 @@ func checkVertexCount(n int64, what string) error {
 //
 // A plain "u v" line is parsed in place by scanEdge and costs no
 // allocation; blank, comment, Unicode and malformed lines take parseLine.
-func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
+func ReadEdgeList(r io.Reader) (_ *graph.Graph, err error) {
 	b := graph.NewBuilder(0)
 	if size, ok := inputSize(r); ok {
 		// An edge line with ids of three or more digits takes at least
 		// 8 bytes, so this reserves the edges once for typical inputs.
 		b.ReserveEdges(int(size / 8))
 	}
-	sc := bufio.NewScanner(faultWrap(r))
+	sc := bufio.NewScanner(r)
+	defer keepReadErr(sc, &err)
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	lineNo := 0
 	for sc.Scan() {

@@ -1,19 +1,12 @@
 package graphio
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-
-	"fdiam/internal/fault"
 )
-
-// faultShortRead simulates a truncated file or an interrupted transfer: the
-// read that fires fails, and so does every read after it — the stream is cut
-// at whatever offset the schedule reached. Combine with after=N to let N
-// buffer fills succeed first. Armed via FDIAM_FAULTS="graphio.short_read:..."
-// — see the fault package for the schedule grammar.
-var faultShortRead = fault.Register("graphio.short_read")
 
 // inputSize reports how many bytes remain in r when that is knowable without
 // consuming it: in-memory readers expose Len(), regular files expose
@@ -53,26 +46,12 @@ func checkDeclared(count, minBytes, size int64, known bool, what string) error {
 	return nil
 }
 
-// faultReader threads the graphio.short_read injection point into a reader.
-// Once the point fires the stream is dead — all later reads fail too, the
-// way a truncated file keeps failing however often it is retried.
-type faultReader struct {
-	r    io.Reader
-	dead bool
-}
-
-// faultWrap wraps r for injection. Reads pass through a bufio layer in every
-// caller, so the disarmed cost (one atomic load per Read) is paid per buffer
-// fill, not per byte.
-func faultWrap(r io.Reader) io.Reader { return &faultReader{r: r} }
-
-func (f *faultReader) Read(p []byte) (int, error) {
-	if f.dead {
-		return 0, fmt.Errorf("graphio: %w: stream truncated by short read", fault.ErrInjected)
+// keepReadErr, deferred by the text readers, puts the read error back in
+// front of a parse error: when a read fails mid-line, bufio.Scanner still
+// yields the partial last line, and the complaint about that line would
+// otherwise hide the failed read.
+func keepReadErr(sc *bufio.Scanner, err *error) {
+	if rerr := sc.Err(); *err != nil && rerr != nil && !errors.Is(*err, rerr) {
+		*err = rerr
 	}
-	if faultShortRead.Hit() {
-		f.dead = true
-		return 0, fmt.Errorf("graphio: %w: stream truncated by short read", fault.ErrInjected)
-	}
-	return f.r.Read(p)
 }

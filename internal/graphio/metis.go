@@ -22,9 +22,10 @@ import (
 // weights (ncon per vertex), xx1 = edge weights. Weights are parsed and
 // discarded (this module's graphs are unweighted). Each edge normally
 // appears in both endpoint lines; the builder deduplicates.
-func ReadMETIS(r io.Reader) (*graph.Graph, error) {
+func ReadMETIS(r io.Reader) (_ *graph.Graph, err error) {
 	size, sizeKnown := inputSize(r)
-	sc := bufio.NewScanner(faultWrap(r))
+	sc := bufio.NewScanner(r)
+	defer keepReadErr(sc, &err)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 
 	// Header.

@@ -18,7 +18,7 @@ import (
 // It ignores "# max-vertex" headers, the one intended difference.
 func referenceReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	b := graph.NewBuilder(0)
-	sc := bufio.NewScanner(faultWrap(r))
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
 	for sc.Scan() {

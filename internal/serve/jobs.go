@@ -44,12 +44,15 @@ type jobTable struct {
 
 func newJobTable() *jobTable { return &jobTable{m: make(map[string]*jobRecord)} }
 
-// claim registers a job for id unless one is already live; the existing
-// record is returned so duplicate submissions are idempotent.
-func (t *jobTable) claim(j *jobRecord) (existing *jobRecord, claimed bool) {
+// claim registers a job for id unless one for the same graph is still
+// running, which is returned instead. A finished record is replaced: its
+// answer may be an approximate corridor, which must never stand in for a
+// later exact submission (a finished exact answer is served from the
+// result cache before claim is reached).
+func (t *jobTable) claim(j *jobRecord) (running *jobRecord, claimed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cur, ok := t.m[j.id]; ok {
+	if cur, ok := t.m[j.id]; ok && cur.state == jobRunning {
 		return cur, false
 	}
 	t.m[j.id] = j
@@ -142,9 +145,14 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	cur, claimed := s.jobs.claim(j)
 	if !claimed {
-		// A live submission for the same graph: return its ID — the solve,
-		// checkpoint dir and result are all keyed by content, so there is
-		// nothing a second run could add.
+		// A running job for the same graph: with the same anytime
+		// parameters it is this job, since the solve, checkpoint dir and
+		// result are all keyed by content. With others, its answer is not
+		// the one asked for, and the two solves would share a checkpoint.
+		if cur.at != req.at {
+			http.Error(w, "a job with other epsilon/mode parameters is running for this graph; retry when it finishes", http.StatusConflict)
+			return
+		}
 		state, _ := s.jobs.view(cur)
 		code := http.StatusAccepted
 		if state != jobRunning {

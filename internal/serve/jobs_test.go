@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"fdiam/internal/gen"
+	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
 )
 
@@ -105,6 +107,45 @@ func TestJobDuplicateSubmissionReturnsSameID(t *testing.T) {
 		t.Fatalf("duplicate submission minted a second job: %s vs %s", first.JobID, second.JobID)
 	}
 	waitJobDone(t, ts.URL, first.JobID)
+}
+
+// TestJobExactNotAnsweredByApproxJob: jobs are keyed by graph content
+// alone, so a finished approximate job must not answer a later exact
+// submission for the same graph, and a running one with other parameters
+// is refused rather than handed out.
+func TestJobExactNotAnsweredByApproxJob(t *testing.T) {
+	var buf bytes.Buffer
+	if err := graphio.WriteBinary(&buf, gen.Grid2D(40, 40)); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	for _, query := range []string{"?mode=approx&sweeps=1", "?epsilon=60"} {
+		t.Run(query, func(t *testing.T) {
+			s, ts, _ := newTestServer(t, Config{Workers: 1, MaxConcurrent: 1})
+			// Hold the only slot so the approximate job stays running.
+			s.slots <- struct{}{}
+			if resp, _ := postJob(t, ts.URL, query, body); resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("approximate submit: status %d, want 202", resp.StatusCode)
+			}
+			if resp, _ := postJob(t, ts.URL, "", body); resp.StatusCode != http.StatusConflict {
+				t.Fatalf("exact submit while the approximate job runs: status %d, want 409", resp.StatusCode)
+			}
+			<-s.slots
+			approx := waitJobDone(t, ts.URL, jobKey(body))
+			if r := approx.Result; r == nil || !r.Approximate {
+				t.Fatalf("approximate job result = %+v, want an open corridor", r)
+			}
+
+			resp, job := postJob(t, ts.URL, "", body)
+			if resp.StatusCode != http.StatusAccepted || job.State != jobRunning {
+				t.Fatalf("exact submit after the approximate job: %d %+v, want 202 running", resp.StatusCode, job)
+			}
+			done := waitJobDone(t, ts.URL, job.JobID)
+			if r := done.Result; r == nil || r.Approximate || r.Diameter != 78 || r.Upper != 78 {
+				t.Fatalf("exact job result = %+v, want exact diameter 78", r)
+			}
+		})
+	}
 }
 
 func TestJobUnknownAndInvalidIDs(t *testing.T) {

@@ -22,31 +22,13 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"fdiam/internal/checkpoint"
 	"fdiam/internal/core"
-	"fdiam/internal/fault"
 	"fdiam/internal/graph"
 	"fdiam/internal/graphio"
 	"fdiam/internal/obs"
-)
-
-// Injection points for chaos testing (inert unless armed via FDIAM_FAULTS;
-// see the fault package):
-//
-//	serve.handler_panic  panic inside the request handler — exercises the
-//	                     recovery middleware's 500 path
-//	serve.slow_stage     delay a staged-file read — exercises timeouts
-//	serve.staged_read    fail a staged-file read — exercises the retry loop
-//	serve.cache_write    drop a cache publication — the response must still
-//	                     be served, only the caches go cold
-var (
-	faultHandlerPanic = fault.Register("serve.handler_panic")
-	faultSlowStage    = fault.Register("serve.slow_stage")
-	faultStagedRead   = fault.Register("serve.staged_read")
-	faultCacheWrite   = fault.Register("serve.cache_write")
 )
 
 // Config sizes one Server. The zero value is usable: every field falls
@@ -167,7 +149,6 @@ type Server struct {
 	mResultHits    *obs.Counter
 	mPanics        *obs.Counter
 	mCancelled     *obs.Counter
-	mStagedRetries *obs.Counter
 	mResumes       *obs.Counter
 	mJobsSubmitted *obs.Counter
 	mJobsCompleted *obs.Counter
@@ -222,7 +203,6 @@ func New(cfg Config) (*Server, error) {
 	s.mResultHits = reg.Counter("fdiamd_result_cache_hits_total", "requests answered from the result cache without solving")
 	s.mPanics = reg.Counter("fdiamd_panics_total", "handler panics recovered into 500 responses")
 	s.mCancelled = reg.Counter("fdiamd_solves_cancelled_total", "solves that returned cancelled (deadline, disconnect or shutdown)")
-	s.mStagedRetries = reg.Counter("fdiamd_staged_read_retries_total", "transient staged-file read failures that were retried")
 	s.mResumes = reg.Counter("fdiamd_resumes_total", "orphaned solves resumed from a checkpoint snapshot")
 	s.mJobsSubmitted = reg.Counter("fdiamd_jobs_submitted_total", "async jobs accepted via POST /jobs")
 	s.mJobsCompleted = reg.Counter("fdiamd_jobs_completed_total", "async jobs that finished with a result")
@@ -413,9 +393,6 @@ func (s *Server) intake(w http.ResponseWriter, r *http.Request, usage string, ve
 		return nil, false
 	}
 	s.mRequests.Inc()
-	if faultHandlerPanic.Hit() {
-		panic("injected handler panic (serve.handler_panic)")
-	}
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return nil, false
@@ -546,8 +523,7 @@ func (s *Server) solve(parent context.Context, req *request, run *obs.Run) (o ou
 
 // publishOutcome settles a finished solve into the caches and counters: a
 // cancelled run leaves its checkpoint directory for resume, a completed one
-// publishes to both caches (unless the injected cache-write fault drops the
-// publication) and retires its checkpoint directory.
+// publishes to both caches and retires its checkpoint directory.
 func (s *Server) publishOutcome(req *request, res core.Result) {
 	if res.Cancelled {
 		// A cancelled checkpointed solve deliberately leaves its directory
@@ -559,25 +535,20 @@ func (s *Server) publishOutcome(req *request, res core.Result) {
 	if res.Resumed {
 		s.mResumes.Inc()
 	}
-	if faultCacheWrite.Hit() {
-		// Injected cache-write failure: the result is still served,
-		// only the caches stay cold for the next request.
+	if req.graphHit {
+		s.mGraphHits.Inc()
 	} else {
-		if req.graphHit {
-			s.mGraphHits.Inc()
-		} else {
-			s.mGraphMisses.Inc()
-			s.graphs.add(req.key, req.g)
-			s.gGraphBytes.Set(s.graphs.bytes())
-		}
-		if res.Approximate {
-			// An open corridor is cached only under its parameter-qualified
-			// key: the bare content key is the exact-diameter promise, and
-			// an approximate entry must never be served against it.
-			s.results.addAnytime(req.at.cacheKey(req.key), res)
-		} else {
-			s.results.add(req.key, res)
-		}
+		s.mGraphMisses.Inc()
+		s.graphs.add(req.key, req.g)
+		s.gGraphBytes.Set(s.graphs.bytes())
+	}
+	if res.Approximate {
+		// An open corridor is cached only under its parameter-qualified
+		// key: the bare content key is the exact-diameter promise, and
+		// an approximate entry must never be served against it.
+		s.results.addAnytime(req.at.cacheKey(req.key), res)
+	} else {
+		s.results.add(req.key, res)
 	}
 	if res.Approximate && !res.TimedOut {
 		// An ε-stopped solve left a positioned snapshot behind; a later
@@ -643,23 +614,6 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 	return timeout, nil
 }
 
-// Staged-read retry policy: transient failures (an injected fault, or an
-// interrupted syscall on a network filesystem) back off exponentially with
-// jitter so a briefly unhappy volume doesn't turn every request into a 500.
-const (
-	stagedReadAttempts  = 4
-	stagedReadBaseDelay = 5 * time.Millisecond
-	stagedReadMaxDelay  = 80 * time.Millisecond
-)
-
-// transientStagedErr reports whether a staged-file read failure is worth
-// retrying: injected faults (by definition transient chaos) and interrupted
-// syscalls. Missing files and permission errors are not — retrying cannot
-// fix them.
-func transientStagedErr(err error) bool {
-	return errors.Is(err, fault.ErrInjected) || errors.Is(err, syscall.EINTR)
-}
-
 // maxBodyPrealloc caps the body buffer reserved from a request's
 // Content-Length before any of the body has arrived.
 const maxBodyPrealloc = 64 << 20
@@ -702,28 +656,10 @@ func (s *Server) requestGraphBytes(w http.ResponseWriter, r *http.Request) ([]by
 	return data, 0, nil
 }
 
-// readStaged reads a pre-staged graph file, retrying transient failures
-// with capped exponential backoff plus jitter. Non-transient failures and
-// exhausted retries return the last error.
+// readStaged reads a pre-staged graph file from the graph directory. An
+// entry that is not a regular file (a directory, a device) is the client's
+// mistake, answered 400 before any read.
 func (s *Server) readStaged(name string) ([]byte, int, error) {
-	delay := stagedReadBaseDelay
-	for attempt := 1; ; attempt++ {
-		data, status, err := s.readStagedOnce(name)
-		if err == nil || !transientStagedErr(err) || attempt == stagedReadAttempts {
-			return data, status, err
-		}
-		s.mStagedRetries.Inc()
-		// Full jitter on the current backoff step: the standard cure for
-		// retry stampedes when many requests hit the same bad volume.
-		time.Sleep(delay/2 + rand.N(delay/2))
-		delay *= 2
-		if delay > stagedReadMaxDelay {
-			delay = stagedReadMaxDelay
-		}
-	}
-}
-
-func (s *Server) readStagedOnce(name string) ([]byte, int, error) {
 	f, err := s.graphDir.Open(name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -732,11 +668,12 @@ func (s *Server) readStagedOnce(name string) ([]byte, int, error) {
 		return nil, http.StatusBadRequest, fmt.Errorf("path: %v", err)
 	}
 	defer f.Close()
-	if faultSlowStage.Hit() {
-		time.Sleep(50 * time.Millisecond)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, http.StatusInternalServerError, fmt.Errorf("path: %w", err)
 	}
-	if ferr := faultStagedRead.Err(); ferr != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("path: %w", ferr)
+	if !fi.Mode().IsRegular() {
+		return nil, http.StatusBadRequest, fmt.Errorf("path: %s is not a regular file", name)
 	}
 	data, err := io.ReadAll(io.LimitReader(f, s.cfg.MaxUploadBytes+1))
 	if err != nil {
