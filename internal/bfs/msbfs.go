@@ -41,7 +41,7 @@ type MultiSourceResult struct {
 	// connected component. After an aborted run it is only a lower bound
 	// (levels completed so far), like a cut-short Eccentricity call.
 	Ecc []int32
-	// Witness holds, per source, a vertex realizing Ecc: a vertex at
+	// Witness holds, per source, the lowest-id vertex realizing Ecc: at
 	// distance exactly Ecc[i] from sources[i] (the source itself when
 	// Ecc[i] == 0).
 	Witness []graph.Vertex
@@ -166,16 +166,20 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 			break
 		}
 		level++
-		// Every source whose traversal advanced has eccentricity ≥ level.
+		// Every source whose traversal advanced has eccentricity ≥ level,
+		// and its witness moves to this level.
 		for b := advanced; b != 0; b &= b - 1 {
-			ms.ecc[bits.TrailingZeros64(b)] = level
+			i := bits.TrailingZeros64(b)
+			ms.ecc[i] = level
+			ms.wit[i] = graph.NoVertex
 		}
-		// Witness extraction stays serial: two frontier vertices carrying
-		// the same bit would race on wit[b], and any one of them is a
-		// valid witness anyway.
+		// Witness extraction stays serial, and keeps the lowest id per
+		// source: the pull kernel's frontier order depends on the worker
+		// count, the lowest id does not.
 		for _, w := range ms.nextAct {
 			for b := ms.next[w]; b != 0; b &= b - 1 {
-				ms.wit[bits.TrailingZeros64(b)] = w
+				i := bits.TrailingZeros64(b)
+				ms.wit[i] = min(ms.wit[i], w)
 			}
 		}
 		e.msSwapFrontier()

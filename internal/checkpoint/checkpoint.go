@@ -106,7 +106,8 @@ type Snapshot struct {
 	GraphHash [32]byte
 
 	// Bound is the diameter lower bound established so far; WitnessA/B
-	// realize it. Start is the winnow center (the 2-sweep start vertex).
+	// realize it. Start is the winnow center: the 2-sweep start vertex, or
+	// the sweep midpoint when the solver's centre step moved Winnow there.
 	Bound              int32
 	Start              uint32
 	WitnessA, WitnessB uint32

@@ -72,7 +72,7 @@ func (s *solver) approxRun(firstNonIsolated int) bool {
 		s.stats.EccBFS++
 		s.stats.TimeEcc += time.Since(t0)
 		if s.e.Aborted() {
-			s.raiseLB(ecc, src, s.e.LastFrontier()[0])
+			s.raiseLB(ecc, src, sweepPartner(s.e.LastFrontier()))
 			return src, false
 		}
 		if firstBFS {
@@ -85,7 +85,7 @@ func (s *solver) approxRun(firstNonIsolated int) bool {
 				(s.stats.RemovedDegree0 > 0 || reached < int64(n)-s.stats.RemovedDegree0)
 			s.capUB(int32(n) - 1)
 		}
-		far = s.e.LastFrontier()[0]
+		far = sweepPartner(s.e.LastFrontier())
 		s.raiseLB(ecc, src, far)
 		if !infinite {
 			if ub := 2 * int64(ecc); ub < int64(s.ubCap) {

@@ -138,10 +138,12 @@ func TestBatchEquivalenceSweep(t *testing.T) {
 
 // TestBatchAccounting pins the MSBFS_* counter algebra of a forced batched
 // run: every main-loop evaluation goes through a batch, so the committed
-// sources are exactly the main-loop BFS count (EccBFS minus the two 2-sweep
-// traversals) and every batch source is either committed or discarded.
+// sources are exactly the main-loop BFS count (EccBFS minus the three
+// traversals before the main loop: u, w and the centre m, which this road
+// stand-in's off-centre u calls for) and every batch source is either
+// committed or discarded.
 func TestBatchAccounting(t *testing.T) {
-	g := gen.Grid2D(40, 40)
+	g := gen.RoadNetwork(40, 40, 0.2, 3)
 	res := Diameter(g, Options{Workers: 1, batch: batchAlways})
 	if res.Cancelled {
 		t.Fatal("solve cancelled")
@@ -149,7 +151,7 @@ func TestBatchAccounting(t *testing.T) {
 	if res.Stats.MSBFSBatches == 0 {
 		t.Fatal("forced batching ran no batches")
 	}
-	committed := res.Stats.EccBFS - 2 // the 2-sweep runs unbatched
+	committed := res.Stats.EccBFS - 3 // the 2-sweep and the centre run unbatched
 	if res.Stats.MSBFSSources != committed+res.Stats.MSBFSDiscarded {
 		t.Fatalf("sources %d != committed %d + discarded %d",
 			res.Stats.MSBFSSources, committed, res.Stats.MSBFSDiscarded)
@@ -256,7 +258,7 @@ func interruptBatchedMidMainLoop(t *testing.T, g *graph.Graph, dir string) Resul
 // sound lower bound, leave a valid snapshot behind, and resume — batched or
 // unbatched — to the exact diameter.
 func TestBatchCancellationMidBatch(t *testing.T) {
-	g := gen.Grid2D(120, 120)
+	g := gen.RoadNetwork(120, 120, 0.2, 7)
 	fresh := Diameter(g, Options{Workers: 1, batch: batchNever})
 
 	dir := t.TempDir()
@@ -306,7 +308,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 // TestBatchResumeFromUnbatchedSnapshot is the reverse crossing: interrupt a
 // legacy (unbatched) solve and finish it with batching forced on.
 func TestBatchResumeFromUnbatchedSnapshot(t *testing.T) {
-	g := gen.Grid2D(120, 120)
+	g := gen.RoadNetwork(120, 120, 0.2, 7)
 	fresh := Diameter(g, Options{Workers: 1, batch: batchNever})
 
 	dir := t.TempDir()

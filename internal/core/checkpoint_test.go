@@ -65,9 +65,10 @@ func interruptMidMainLoop(t *testing.T, g *graph.Graph, dir string) Result {
 }
 
 func TestCheckpointResumeExactDiameter(t *testing.T) {
-	// A grid keeps the main loop long (no chains, winnow leaves the
-	// borders active) so the interruption lands where snapshots exist.
-	g := gen.Grid2D(120, 120)
+	// A road stand-in keeps the main loop long (its Winnow ball leaves
+	// about 20 survivors to evaluate) so the interruption lands where
+	// snapshots exist.
+	g := gen.RoadNetwork(120, 120, 0.2, 7)
 	fresh := Diameter(g, Options{Workers: 1})
 	if fresh.Cancelled {
 		t.Fatal("fresh solve cancelled")
@@ -188,7 +189,7 @@ func cancelInMainLoopEliminate(t *testing.T, g *graph.Graph, dir string, nth int
 // records the vertex as computed, because resume would never redo the rest
 // of its ball and would evaluate vertices the fresh solve pruned.
 func TestCheckpointNeverRecordsCutShortEliminate(t *testing.T) {
-	g := gen.Grid2D(60, 60)
+	g := gen.RoadNetwork(60, 60, 0.2, 3)
 	fresh := Diameter(g, Options{Workers: 1})
 	for _, nth := range []int{1, 3} {
 		dir := t.TempDir()
@@ -220,7 +221,7 @@ func TestCheckpointNeverRecordsCutShortEliminate(t *testing.T) {
 // position, only the Active set, so a Workers=1 snapshot resumed at
 // Workers=2 rebuilds the same scan list and finishes the same solve.
 func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
-	g := gen.Grid2D(60, 60)
+	g := gen.RoadNetwork(60, 60, 0.2, 3)
 	fresh := Diameter(g, Options{Workers: 1})
 	dir := t.TempDir()
 	cancelInMainLoopEliminate(t, g, dir, 3)
@@ -243,7 +244,7 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 // carried a scan position, is refused, and the solve degrades to an exact
 // fresh one.
 func TestResumeRejectsVersion2Snapshot(t *testing.T) {
-	g := gen.Grid2D(60, 60)
+	g := gen.RoadNetwork(60, 60, 0.2, 3)
 	fresh := Diameter(g, Options{Workers: 1})
 	dir := t.TempDir()
 	cancelInMainLoopEliminate(t, g, dir, 3)
@@ -280,7 +281,7 @@ func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 // receive each solve's own work once; a resumed solve, whose Stats continue
 // the snapshot's totals, must not count the interrupted run's work again.
 func TestResumedSolveCountsOnlyItsOwnWork(t *testing.T) {
-	g := gen.Grid2D(60, 60)
+	g := gen.RoadNetwork(60, 60, 0.2, 3)
 	dir := t.TempDir()
 	before := cBFSTraversals.Value()
 	first, _ := cancelInMainLoopEliminate(t, g, dir, 3)
@@ -341,7 +342,7 @@ func TestResumeFallsBackOnBadSnapshot(t *testing.T) {
 	t.Run("wrong-graph", func(t *testing.T) {
 		// Interrupt a solve of a DIFFERENT graph to get a genuine
 		// snapshot, then try to resume this one from it.
-		other := gen.Grid2D(120, 120)
+		other := gen.RoadNetwork(120, 120, 0.2, 7)
 		dir := t.TempDir()
 		interruptMidMainLoop(t, other, dir)
 		path := filepath.Join(dir, checkpoint.FileName)
@@ -408,7 +409,7 @@ func TestCheckpointBarrierWritesInsideTraversal(t *testing.T) {
 // is the strongest determinism check — every reachable checkpoint state is
 // a valid resume point.
 func TestResumeFromEveryPrefix(t *testing.T) {
-	g := gen.Grid2D(24, 24)
+	g := gen.RoadNetwork(24, 24, 0.2, 7)
 	want := Diameter(g, Options{Workers: 1})
 	dir := t.TempDir()
 

@@ -404,7 +404,7 @@ func (s *solver) run() Result {
 			// The completed levels of the aborted traversal still lower-bound
 			// ecc(u) and hence the diameter: the engine's current frontier is
 			// exactly uEcc levels from u. Nothing is recorded as exact.
-			s.raiseLB(uEcc, s.start, s.e.LastFrontier()[0])
+			s.raiseLB(uEcc, s.start, sweepPartner(s.e.LastFrontier()))
 			endSweep()
 			return finish(false)
 		}
@@ -424,17 +424,48 @@ func (s *solver) run() Result {
 		w := sweepPartner(s.e.LastFrontier())
 		s.raiseLB(uEcc, s.start, w)
 		if w != s.start && !s.cancelled() {
+			// w's distances stay in hand for the centre step below, whose
+			// BFS then reuses the array.
+			distW := make([]int32, n)
 			tEcc = time.Now()
-			wEcc := s.e.Eccentricity(w)
+			wEcc := s.e.Distances(w, distW)
 			s.stats.EccBFS++
 			s.stats.TimeEcc += time.Since(tEcc)
+			z := sweepPartner(s.e.LastFrontier())
+			s.raiseLB(wEcc, w, z)
 			if s.e.Aborted() {
-				s.raiseLB(wEcc, w, s.e.LastFrontier()[0])
 				endSweep()
 				return finish(infinite)
 			}
 			s.setComputed(w, wEcc)
-			s.raiseLB(wEcc, w, s.e.LastFrontier()[0])
+			// Centre step: when u is visibly off-centre (a centre's
+			// eccentricity is about half the bound, Theorem 3), Winnow and
+			// the survivor scan start at the midpoint m of a w–z diameter
+			// path instead, provided m's ball is the larger one. The "no
+			// 'u'" ablation keeps its fixed start.
+			if !s.opt.StartAtVertexZero && 2*int64(uEcc) > int64(wEcc)+2 && !s.cancelled() {
+				m := midpoint(s.g, distW, z)
+				if s.ecc[m] == Active {
+					tEcc = time.Now()
+					mEcc := s.e.Distances(m, distW)
+					s.stats.EccBFS++
+					s.stats.TimeEcc += time.Since(tEcc)
+					s.raiseLB(mEcc, m, sweepPartner(s.e.LastFrontier()))
+					if s.e.Aborted() {
+						endSweep()
+						return finish(infinite)
+					}
+					s.setComputed(m, mEcc)
+					if ub := 2 * int64(mEcc); !infinite && ub < int64(s.ubCap) {
+						s.capUB(int32(ub))
+					}
+					if largerBall(distW, dist, s.bound/2) {
+						s.start = m
+						dist = distW
+						maxDist = mEcc
+					}
+				}
+			}
 		}
 		if tr != nil {
 			tr.Instant("bound", "initial", obs.I("bound", int64(s.bound)))
@@ -446,10 +477,10 @@ func (s *solver) run() Result {
 		}
 
 		// Winnow around the starting vertex (§4.2). Winnow subsumes what an
-		// Eliminate around u could remove (Theorem 3: ecc(u) ≥ bound/2, so
-		// the winnow radius ⌊bound/2⌋ is at least the eliminate radius
-		// bound − ecc(u)), which is why F-Diam never Eliminates around u
-		// (§4.5) — and why the "no Winnow" ablation leaves the initial
+		// Eliminate around it could remove (Theorem 3: ecc(start) ≥ bound/2,
+		// so the winnow radius ⌊bound/2⌋ is at least the eliminate radius
+		// bound − ecc(start)), which is why F-Diam never Eliminates around
+		// its start (§4.5) — and why the "no Winnow" ablation leaves the initial
 		// pruning out entirely, as in the paper's Table 5.
 		if !s.opt.DisableWinnow {
 			s.winnow()
@@ -530,7 +561,7 @@ func (s *solver) run() Result {
 		if s.e.Aborted() {
 			// The truncated level count still lower-bounds ecc(v); use it
 			// if it beats the bound, but never record it as exact.
-			s.raiseLB(vecc, v, s.e.LastFrontier()[0])
+			s.raiseLB(vecc, v, sweepPartner(s.e.LastFrontier()))
 			if tr != nil {
 				tr.Instant("run", "cancelled")
 			}
@@ -544,7 +575,7 @@ func (s *solver) run() Result {
 		case vecc > s.bound:
 			// New lower bound for the diameter: extend the winnow
 			// ball and all prior eliminated regions (§4.5).
-			old := s.improveBound(vecc, v, s.e.LastFrontier()[0])
+			old := s.improveBound(vecc, v, sweepPartner(s.e.LastFrontier()))
 			if !s.opt.DisableWinnow {
 				s.winnow()
 			}
@@ -586,16 +617,65 @@ func (s *solver) run() Result {
 	return finish(infinite)
 }
 
-// sweepPartner picks the 2-sweep's second source from the last level of
-// start's BFS: its lowest id. Any vertex there is maximally far from start;
-// taking the lowest makes the choice independent of the order a parallel
-// kernel emitted the level in, so every worker count runs the same solve.
+// sweepPartner picks a vertex off the last level of a BFS — the 2-sweep's
+// second source, the centre step's z, and every witness: its lowest id. Any
+// vertex there is maximally far from the source; taking the lowest makes
+// the choice independent of the order a parallel kernel emitted the level
+// in, so every worker count runs the same solve and reports the same pair.
 func sweepPartner(last []graph.Vertex) graph.Vertex {
 	w := last[0]
 	for _, v := range last[1:] {
 		w = min(w, v)
 	}
 	return w
+}
+
+// midpoint walks from z toward the source of distW (its distance-0 vertex)
+// along strictly decreasing distances and returns the vertex at distance
+// ⌊distW[z]/2⌋: the middle of a shortest path from the source to z. Step k
+// takes the (k mod c)-th of the c neighbours one step closer, in adjacency
+// order. Always taking the first would run along a grid's boundary to a
+// corner; alternating keeps the walk on the diagonal, so it ends near the
+// centre.
+func midpoint(g *graph.Graph, distW []int32, z graph.Vertex) graph.Vertex {
+	v, half := z, distW[z]/2
+	for k := 0; distW[v] > half; k++ {
+		closer := distW[v] - 1
+		c := 0
+		for _, x := range g.Neighbors(v) {
+			if distW[x] == closer {
+				c++
+			}
+		}
+		pick, next := k%c, v
+		for _, x := range g.Neighbors(v) {
+			if distW[x] == closer {
+				if pick == 0 {
+					next = x
+					break
+				}
+				pick--
+			}
+		}
+		v = next
+	}
+	return v
+}
+
+// largerBall reports whether strictly more vertices lie within r of the
+// source of distM than within r of the source of distU, in one pass over
+// both distance arrays (−1, unreached, counts as outside).
+func largerBall(distM, distU []int32, r int32) bool {
+	var m, u int
+	for v, d := range distM {
+		if uint32(d) <= uint32(r) {
+			m++
+		}
+		if uint32(distU[v]) <= uint32(r) {
+			u++
+		}
+	}
+	return m > u
 }
 
 // survivorOrder lists the Active vertices of ecc in ascending

@@ -28,8 +28,11 @@ type Options struct {
 	// this stage in Table 5, but it is useful for studying chains.
 	DisableChain bool
 
-	// StartAtVertexZero starts the 2-sweep and Winnow from vertex 0
-	// instead of the maximum-degree vertex u (the "no 'u'" ablation).
+	// StartAtVertexZero starts the 2-sweep and Winnow from the first
+	// vertex with an edge (vertex 0 unless it is isolated) instead of the
+	// maximum-degree vertex u (the "no 'u'" ablation). It also skips the
+	// centre step that may move Winnow from u to the sweep midpoint, so the
+	// ablation measures a fixed start, as the paper's Table 5 does.
 	StartAtVertexZero bool
 
 	// DisableDirectionOpt forces plain top-down BFS, disabling the

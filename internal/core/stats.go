@@ -15,7 +15,7 @@ type Stats struct {
 	Vertices int `json:"vertices"`
 
 	// EccBFS is the number of eccentricity-computing BFS traversals,
-	// including the two 2-sweep traversals.
+	// including the two 2-sweep traversals and the centre step's one.
 	EccBFS int64 `json:"ecc_bfs"`
 	// WinnowCalls is the number of Winnow invocations (initial + each
 	// incremental extension). The paper counts these as BFS traversals
