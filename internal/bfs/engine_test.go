@@ -140,7 +140,7 @@ func TestPartialLevels(t *testing.T) {
 	e := New(g, 1)
 	var levels []int32
 	var sizes []int
-	got := e.Partial([]graph.Vertex{0}, 5, false, nil, func(level int32, frontier []graph.Vertex) {
+	got := e.Partial([]graph.Vertex{0}, 5, false, func(level int32, frontier []graph.Vertex) {
 		levels = append(levels, level)
 		sizes = append(sizes, len(frontier))
 	})
@@ -160,7 +160,7 @@ func TestPartialMultiSource(t *testing.T) {
 	// Seeds at both ends: level k visits vertices k and 20−k; the two
 	// waves meet in the middle at level 10.
 	reached := map[graph.Vertex]int32{}
-	levels := e.Partial([]graph.Vertex{0, 20}, -1, false, nil, func(level int32, frontier []graph.Vertex) {
+	levels := e.Partial([]graph.Vertex{0, 20}, -1, false, func(level int32, frontier []graph.Vertex) {
 		for _, v := range frontier {
 			reached[v] = level
 		}
@@ -179,29 +179,11 @@ func TestPartialMultiSource(t *testing.T) {
 	}
 }
 
-func TestPartialSkip(t *testing.T) {
-	g := gen.Path(10)
-	e := New(g, 1)
-	// Skip vertex 5: the wave from 0 must stop at 4.
-	var visited []graph.Vertex
-	e.Partial([]graph.Vertex{0}, -1, false,
-		func(v graph.Vertex) bool { return v == 5 },
-		func(level int32, frontier []graph.Vertex) { visited = append(visited, frontier...) })
-	if len(visited) != 4 {
-		t.Fatalf("visited %v, want 1..4", visited)
-	}
-	for _, v := range visited {
-		if v >= 5 {
-			t.Errorf("skip breached: visited %d", v)
-		}
-	}
-}
-
 func TestPartialSeedsDeduplicated(t *testing.T) {
 	g := gen.Path(10)
 	e := New(g, 1)
 	count := 0
-	e.Partial([]graph.Vertex{3, 3, 3}, 1, false, nil, func(level int32, frontier []graph.Vertex) {
+	e.Partial([]graph.Vertex{3, 3, 3}, 1, false, func(level int32, frontier []graph.Vertex) {
 		count += len(frontier)
 	})
 	if count != 2 { // neighbors 2 and 4

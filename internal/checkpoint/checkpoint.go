@@ -2,8 +2,7 @@
 //
 // A Snapshot is everything the solver needs to resume a solve at a
 // main-loop boundary: the current bound and witness pair, the per-vertex
-// state and stage arrays, the winnow extension frontier, the chain-hub
-// rings, and the Stats counters — the monotone accumulation state whose
+// state and stage arrays, the winnow radius, the chain-hub rings, and the Stats counters — the monotone accumulation state whose
 // loss makes an hours-long solve start over. Snapshots are serialized in a
 // versioned little-endian binary format guarded by a CRC-32 of the whole
 // payload and bound to their input by a SHA-256 of the graph's CSR arrays;
@@ -40,8 +39,10 @@ const magic = "FDIAMCK1"
 // v2 added the Epsilon and UbCap fields (the anytime corridor recorded so
 // resume honors the tolerance and reopens at the proven upper bound); v3
 // dropped NextVertex, because the main loop resumes from the restored
-// Active set rather than a vertex index.
-const version = 3
+// Active set rather than a vertex index; v4 dropped WinnowFrontier,
+// because Winnow extends its ball from the start's distances, which resume
+// recomputes.
+const version = 4
 
 // FileName is the canonical snapshot name inside a checkpoint directory.
 // One solve owns one directory; Write replaces the file atomically, so the
@@ -135,10 +136,10 @@ type Snapshot struct {
 	Ecc   []int32
 	Stage []uint8
 
-	// WinnowFrontier/WinnowDepth is the incremental-extension state of the
-	// winnow ball (vertices at exactly WinnowDepth steps from Start).
-	WinnowFrontier []uint32
-	WinnowDepth    int32
+	// WinnowDepth is the radius of the winnow ball around Start (−1 when
+	// Winnow never ran), so a resumed run only re-winnows once the bound
+	// grows past it.
+	WinnowDepth int32
 
 	// ChainDone/ChainRing is the per-hub chain-elimination bookkeeping.
 	ChainDone map[uint32]int32
@@ -189,7 +190,7 @@ func GraphHash(g *graph.Graph) [32]byte {
 func (s *Snapshot) encode() []byte {
 	n := len(s.Ecc)
 	size := 4 + 32 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 17*8 + 8 + 5*n +
-		8 + 4*len(s.WinnowFrontier) + 8 + 8*len(s.ChainDone) + 8
+		8 + 8*len(s.ChainDone) + 8
 	for _, ring := range s.ChainRing {
 		size += 12 + 4*len(ring)
 	}
@@ -233,11 +234,6 @@ func (s *Snapshot) encode() []byte {
 		i32(e)
 	}
 	buf.Write(s.Stage)
-
-	u64(uint64(len(s.WinnowFrontier)))
-	for _, v := range s.WinnowFrontier {
-		u32(v)
-	}
 
 	// Maps serialize in sorted key order so identical state produces
 	// byte-identical snapshots (stable CRCs make chaos-test diffing sane).
@@ -354,14 +350,6 @@ func decode(payload []byte) (*Snapshot, error) {
 			s.Ecc[i] = d.i32()
 		}
 		s.Stage = append([]uint8(nil), d.take(n)...)
-	}
-
-	fl := d.length(4)
-	if d.err == nil {
-		s.WinnowFrontier = make([]uint32, fl)
-		for i := range s.WinnowFrontier {
-			s.WinnowFrontier[i] = d.u32()
-		}
 	}
 
 	dl := d.length(8)
@@ -572,11 +560,6 @@ func (s *Snapshot) Validate(g *graph.Graph) error {
 		if chk.have != chk.want {
 			return fmt.Errorf("%w: counter %s=%d but %d vertices attributed",
 				ErrCorrupt, chk.name, chk.have, chk.want)
-		}
-	}
-	for _, f := range s.WinnowFrontier {
-		if !inRange(f) {
-			return fmt.Errorf("%w: winnow frontier vertex %d out of range", ErrCorrupt, f)
 		}
 	}
 	for k := range s.ChainDone {

@@ -16,19 +16,18 @@ import (
 func testSnapshot(g *graph.Graph) *Snapshot {
 	n := g.NumVertices()
 	s := &Snapshot{
-		GraphHash:      GraphHash(g),
-		Bound:          5,
-		Start:          0,
-		WitnessA:       0,
-		WitnessB:       uint32(n - 1),
-		Infinite:       false,
-		UbCap:          int32(n - 1),
-		Ecc:            make([]int32, n),
-		Stage:          make([]uint8, n),
-		WinnowFrontier: []uint32{1, 2},
-		WinnowDepth:    2,
-		ChainDone:      map[uint32]int32{4: 2},
-		ChainRing:      map[uint32][]uint32{4: {5, 6}},
+		GraphHash:   GraphHash(g),
+		Bound:       5,
+		Start:       0,
+		WitnessA:    0,
+		WitnessB:    uint32(n - 1),
+		Infinite:    false,
+		UbCap:       int32(n - 1),
+		Ecc:         make([]int32, n),
+		Stage:       make([]uint8, n),
+		WinnowDepth: 2,
+		ChainDone:   map[uint32]int32{4: 2},
+		ChainRing:   map[uint32][]uint32{4: {5, 6}},
 	}
 	for v := 0; v < n; v++ {
 		s.Ecc[v] = math.MaxInt32 // active
@@ -81,9 +80,6 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("vertex %d state differs: %d/%d vs %d/%d",
 				v, got.Ecc[v], got.Stage[v], s.Ecc[v], s.Stage[v])
 		}
-	}
-	if len(got.WinnowFrontier) != 2 || got.WinnowFrontier[0] != 1 || got.WinnowFrontier[1] != 2 {
-		t.Fatalf("winnow frontier differs: %v", got.WinnowFrontier)
 	}
 	if got.ChainDone[4] != 2 || len(got.ChainRing[4]) != 2 {
 		t.Fatalf("chain maps differ: %v %v", got.ChainDone, got.ChainRing)
@@ -150,7 +146,6 @@ func TestValidateCatchesInconsistency(t *testing.T) {
 		{"stage-encoding", func(s *Snapshot) { s.Stage[0] = 2 }}, // winnow stage, computed ecc
 		{"stage-invalid", func(s *Snapshot) { s.Stage[0] = 17 }},
 		{"bound-range", func(s *Snapshot) { s.Bound = 1 << 20 }},
-		{"frontier-range", func(s *Snapshot) { s.WinnowFrontier[0] = 1 << 30 }},
 		{"ring-range", func(s *Snapshot) { s.ChainRing[4] = []uint32{1 << 30} }},
 	}
 	for _, tc := range cases {

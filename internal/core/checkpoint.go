@@ -88,10 +88,6 @@ func (s *solver) tryResume() bool {
 	s.witnessA = graph.Vertex(snap.WitnessA)
 	s.witnessB = graph.Vertex(snap.WitnessB)
 	s.winnowDepth = snap.WinnowDepth
-	s.winnowFrontier = s.winnowFrontier[:0]
-	for _, v := range snap.WinnowFrontier {
-		s.winnowFrontier = append(s.winnowFrontier, graph.Vertex(v))
-	}
 	if len(snap.ChainDone) > 0 {
 		s.chainDone = make(map[graph.Vertex]int32, len(snap.ChainDone))
 		for k, v := range snap.ChainDone {
@@ -143,17 +139,16 @@ func (s *solver) tryResume() bool {
 // is redone on resume.
 func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
-		GraphHash:      s.graphHash(),
-		Bound:          s.bound,
-		Start:          uint32(s.start),
-		WitnessA:       uint32(s.witnessA),
-		WitnessB:       uint32(s.witnessB),
-		Infinite:       s.ck.infinite,
-		Ecc:            append([]int32(nil), s.ecc...),
-		Stage:          make([]uint8, len(s.stage)),
-		WinnowFrontier: make([]uint32, len(s.winnowFrontier)),
-		WinnowDepth:    s.winnowDepth,
-		UbCap:          s.ubCap,
+		GraphHash:   s.graphHash(),
+		Bound:       s.bound,
+		Start:       uint32(s.start),
+		WitnessA:    uint32(s.witnessA),
+		WitnessB:    uint32(s.witnessB),
+		Infinite:    s.ck.infinite,
+		Ecc:         append([]int32(nil), s.ecc...),
+		Stage:       make([]uint8, len(s.stage)),
+		WinnowDepth: s.winnowDepth,
+		UbCap:       s.ubCap,
 	}
 	// Record the effective anytime tolerance (never the negative
 	// force-exact sentinel) so a ctx-less resume keeps honoring it.
@@ -162,9 +157,6 @@ func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 	}
 	for i, st := range s.stage {
 		snap.Stage[i] = uint8(st)
-	}
-	for i, v := range s.winnowFrontier {
-		snap.WinnowFrontier[i] = uint32(v)
 	}
 	if len(s.chainDone) > 0 {
 		snap.ChainDone = make(map[uint32]int32, len(s.chainDone))

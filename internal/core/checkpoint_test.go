@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -241,8 +242,9 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestResumeRejectsVersion2Snapshot: a version-2 snapshot, which still
-// carried a scan position, is refused, and the solve degrades to an exact
-// fresh one.
+// carried a scan position, and a version-3 snapshot, which still carried a
+// winnow frontier, are refused, and the solve degrades to an exact fresh
+// one.
 func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 	g := gen.RoadNetwork(60, 60, 0.2, 3)
 	fresh := Diameter(g, Options{Workers: 1})
@@ -253,27 +255,41 @@ func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the payload into the version-2 layout: version 2, and the
-	// 8-byte NextVertex after the witness pair, under a fresh CRC.
+	// Payload offsets: the 8-byte NextVertex of v2 sat after the witness
+	// pair; the v3 winnow frontier (an 8-byte length, here 0) after the
+	// per-vertex arrays, which start behind the 72-byte header, the 17
+	// counters and the 8-byte vertex count.
 	const magicLen, nextVertexAt = 8, 4 + 32 + 4*4
+	n := g.NumVertices()
+	frontierAt := 72 + 17*8 + 8 + 5*n
 	payload := data[magicLen : len(data)-4]
 	v2 := binary.LittleEndian.AppendUint32(nil, 2)
 	v2 = append(v2, payload[4:nextVertexAt]...)
 	v2 = binary.LittleEndian.AppendUint64(v2, 0)
 	v2 = append(v2, payload[nextVertexAt:]...)
-	file := append(slices.Clone(data[:magicLen]), v2...)
-	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(v2))
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	v3 := binary.LittleEndian.AppendUint32(nil, 3)
+	v3 = append(v3, payload[4:frontierAt]...)
+	v3 = binary.LittleEndian.AppendUint64(v3, 0)
+	v3 = append(v3, payload[frontierAt:]...)
 
-	res := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
-	if res.Resumed || !strings.Contains(res.ResumeError, "version 2") {
-		t.Fatalf("Resumed=%v ResumeError=%q, want a version-2 rejection", res.Resumed, res.ResumeError)
-	}
-	if res.Diameter != fresh.Diameter || res.Stats.EccBFS != fresh.Stats.EccBFS {
-		t.Fatalf("fallback solve: diameter %d with %d BFS, fresh %d with %d",
-			res.Diameter, res.Stats.EccBFS, fresh.Diameter, fresh.Stats.EccBFS)
+	for _, old := range []struct {
+		version int
+		payload []byte
+	}{{2, v2}, {3, v3}} {
+		version := old.version
+		file := append(slices.Clone(data[:magicLen]), old.payload...)
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(old.payload))
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res := Diameter(g, Options{Workers: 1, Checkpoint: CheckpointOptions{ResumeFrom: path}})
+		if want := fmt.Sprintf("version %d", version); res.Resumed || !strings.Contains(res.ResumeError, want) {
+			t.Fatalf("Resumed=%v ResumeError=%q, want a version-%d rejection", res.Resumed, res.ResumeError, version)
+		}
+		if res.Diameter != fresh.Diameter || res.Stats.EccBFS != fresh.Stats.EccBFS {
+			t.Fatalf("v%d fallback solve: diameter %d with %d BFS, fresh %d with %d",
+				version, res.Diameter, res.Stats.EccBFS, fresh.Diameter, fresh.Stats.EccBFS)
+		}
 	}
 }
 

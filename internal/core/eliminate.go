@@ -53,7 +53,7 @@ func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, a
 		tr.Begin("stage", "eliminate",
 			obs.I("seeds", int64(len(seeds))), obs.I("radius", int64(limit-startVal)))
 	}
-	levels = s.e.Partial(seeds, limit-startVal, parallel, nil, func(level int32, frontier []graph.Vertex) {
+	levels = s.e.Partial(seeds, limit-startVal, parallel, func(level int32, frontier []graph.Vertex) {
 		if checkedBuild {
 			s.checkEliminateLevel(checkDist, level, frontier, startVal, limit)
 		}

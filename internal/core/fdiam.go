@@ -107,11 +107,12 @@ type solver struct {
 	// its last frontier are exactly bound apart.
 	witnessA, witnessB graph.Vertex
 
-	// Winnow incremental-extension state: the frontier at exactly
-	// winnowDepth steps from start, from which the ball is extended
-	// when the bound grows (§4.5).
-	winnowFrontier []graph.Vertex
-	winnowDepth    int32
+	// dist holds d(start, v) for every vertex (−1: another component):
+	// Winnow reads its ball off it, and the main loop's scan order is
+	// built from it. winnowDepth is the radius already winnowed, −1
+	// before the first Winnow call.
+	dist        []int32
+	winnowDepth int32
 
 	// chainDone records, per chain-end vertex, the largest chain length
 	// already eliminated around it, so hubs with many degree-1 neighbors
@@ -170,13 +171,14 @@ func newSolver(g *graph.Graph, opt Options) *solver {
 		e:   e,
 		opt: opt,
 		//fdiamlint:ignore ctxflow constructor default only; DiameterCtx overwrites it with the caller's ctx before solving
-		ctx:       context.Background(),
-		ubCap:     -1,
-		epsilon:   opt.Epsilon,
-		lg:        obs.DiscardLogger(),
-		witnessA:  graph.NoVertex,
-		witnessB:  graph.NoVertex,
-		pruneEWMA: -1,
+		ctx:         context.Background(),
+		ubCap:       -1,
+		winnowDepth: -1,
+		epsilon:     opt.Epsilon,
+		lg:          obs.DiscardLogger(),
+		witnessA:    graph.NoVertex,
+		witnessB:    graph.NoVertex,
+		pruneEWMA:   -1,
 	}
 	return s
 }
@@ -361,9 +363,9 @@ func (s *solver) run() Result {
 	s.initCheckpoint()
 	var infinite bool
 	var tEcc time.Time
-	// dist holds d(start, v) until the main loop's scan list is built
-	// from it; maxDist = ecc(start) is its largest entry.
-	dist := make([]int32, n)
+	// s.dist gets d(start, v) from the start's BFS; maxDist = ecc(start)
+	// is its largest entry.
+	s.dist = make([]int32, n)
 	var maxDist int32
 	if s.tryResume() {
 		infinite = s.ck.infinite
@@ -371,12 +373,13 @@ func (s *solver) run() Result {
 		// corridor opens at the trivial cap.
 		s.capUB(int32(n) - 1)
 		s.publishBounds()
-		// Rebuilding the scan order costs one BFS from the restored
+		// Rebuilding the start's distances, which the scan order and any
+		// later Winnow extension read, costs one BFS from the restored
 		// start. It evaluates nothing, so it is not an eccentricity BFS;
 		// a cancel that cuts it short leaves vertices at dist −1, which
 		// only moves them to the end of an order the loop abandons at
 		// once.
-		maxDist = s.e.Distances(s.start, dist)
+		maxDist = s.e.Distances(s.start, s.dist)
 	} else {
 		// Starting vertex: the maximum-degree vertex u (§3), or — for the
 		// "no 'u'" ablation — the first vertex with at least one edge.
@@ -396,7 +399,7 @@ func (s *solver) run() Result {
 			}
 		}
 		tEcc = time.Now()
-		uEcc := s.e.Distances(s.start, dist)
+		uEcc := s.e.Distances(s.start, s.dist)
 		maxDist = uEcc
 		s.stats.EccBFS++
 		s.stats.TimeEcc += time.Since(tEcc)
@@ -459,9 +462,9 @@ func (s *solver) run() Result {
 					if ub := 2 * int64(mEcc); !infinite && ub < int64(s.ubCap) {
 						s.capUB(int32(ub))
 					}
-					if largerBall(distW, dist, s.bound/2) {
+					if largerBall(distW, s.dist, s.bound/2) {
 						s.start = m
-						dist = distW
+						s.dist = distW
 						maxDist = mEcc
 					}
 				}
@@ -503,7 +506,7 @@ func (s *solver) run() Result {
 	// the vertices near start tend to have the smallest eccentricities, so
 	// their large balls remove the outer survivors before the scan reaches
 	// them (DESIGN.md §1, step 5).
-	s.order = survivorOrder(s.ecc, dist, maxDist)
+	s.order = survivorOrder(s.ecc, s.dist, maxDist)
 	s.beginStage("main-loop")
 	s.ck.infinite = infinite
 	completed := true

@@ -8,6 +8,7 @@ import (
 	"fdiam/internal/ecc"
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
+	"fdiam/internal/obs"
 )
 
 // checkAgainstBruteForce asserts that every configuration of F-Diam agrees
@@ -303,6 +304,56 @@ func TestWinnowExtensionOnlyWhenBallGrows(t *testing.T) {
 		if res.Stats.WinnowCalls > res.Stats.BoundImprovements+1 {
 			t.Errorf("seed %d: %d winnow calls for %d improvements",
 				seed, res.Stats.WinnowCalls, res.Stats.BoundImprovements)
+		}
+	}
+}
+
+// traversalsInWinnow is a trace sink that counts the Winnow stage spans
+// and the traversals that start inside one.
+type traversalsInWinnow struct {
+	inWinnow      bool
+	spans, inside int
+}
+
+func (c *traversalsInWinnow) Emit(e obs.Event) {
+	switch {
+	case e.Cat == "stage" && e.Name == "winnow":
+		c.inWinnow = e.Kind == obs.KindBegin
+		if c.inWinnow {
+			c.spans++
+		}
+	case e.Cat == "traversal" && e.Kind == obs.KindBegin && c.inWinnow:
+		c.inside++
+	}
+}
+
+func (c *traversalsInWinnow) Close() error { return nil }
+
+// TestWinnowRunsNoTraversal: Winnow reads its ball off the start's
+// distances, so no BFS starts inside a winnow stage span, neither in the
+// initial call nor in the extensions after a bound improvement (the road
+// input improves its bound in the main loop).
+func TestWinnowRunsNoTraversal(t *testing.T) {
+	for name, tc := range map[string]struct {
+		g         *graph.Graph
+		minWinnow int64
+	}{
+		"whiskers": {gen.CoreWhiskers(4000, 4, 0.3, 8, 2), 1},
+		"road":     {gen.RoadNetwork(60, 60, 0.2, 5), 2},
+	} {
+		run := obs.NewRun(obs.Config{})
+		sink := &traversalsInWinnow{}
+		run.AddSink(sink)
+		res := Diameter(tc.g, Options{Workers: 1, Trace: run})
+		if err := run.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.WinnowCalls < tc.minWinnow || int64(sink.spans) != res.Stats.WinnowCalls {
+			t.Fatalf("%s: %d winnow spans for %d calls, want at least %d calls",
+				name, sink.spans, res.Stats.WinnowCalls, tc.minWinnow)
+		}
+		if sink.inside != 0 {
+			t.Errorf("%s: %d traversals started inside winnow spans", name, sink.inside)
 		}
 	}
 }

@@ -71,9 +71,10 @@ func (s *solver) checkedDistances(seeds []graph.Vertex) []int32 {
 
 // checkWinnowBall encodes Theorems 2+3 (§4.2): winnowing is only sound for
 // a ball of radius ⌊bound/2⌋ centered at the single starting vertex. Every
-// vertex Winnow removed must lie inside that ball of s.start, and the
-// saved extension frontier must consist of reachable vertices no deeper
-// than the ball radius.
+// vertex Winnow removed must lie inside that ball of s.start; the distance
+// array Winnow reads the ball off must be the start's true distances; and
+// no Active vertex may be left inside the ball, which is what makes the
+// scan equal to the paper's partial BFS.
 func (s *solver) checkWinnowBall() {
 	dist := s.checkedDistances([]graph.Vertex{s.start})
 	depth := s.bound / 2
@@ -90,10 +91,15 @@ func (s *solver) checkWinnowBall() {
 				v, s.start, dist[v], depth)
 		}
 	}
-	for _, f := range s.winnowFrontier {
-		if dist[f] < 0 || dist[f] > depth {
-			violate("winnow-frontier",
-				"frontier vertex %d at dist %d, ball radius %d", f, dist[f], depth)
+	if len(s.dist) != len(dist) {
+		violate("winnow-dist", "distance array holds %d entries, graph has %d vertices", len(s.dist), len(dist))
+	}
+	for v, d := range dist {
+		if s.dist[v] != d {
+			violate("winnow-dist", "dist[%d] = %d, but dist(start=%d, v) = %d", v, s.dist[v], s.start, d)
+		}
+		if d >= 1 && d <= depth && s.ecc[v] == Active {
+			violate("winnow-dist", "vertex %d still Active at dist %d inside ball radius %d", v, d, depth)
 		}
 	}
 }

@@ -165,9 +165,30 @@ func TestInvariantViolationsFire(t *testing.T) {
 		mustViolate(t, "winnow-ball", func(s *solver) {
 			s.start = 0
 			s.bound = 0 // radius 0: nothing may be winnowed
+			s.winnowDepth = 0
 			far := graph.Vertex(len(s.ecc) - 1)
 			s.ecc[far] = Winnowed
 			s.stage[far] = StageWinnow
+			s.checkWinnowBall()
+		})
+	})
+	t.Run("winnow-dist", func(t *testing.T) {
+		mustViolate(t, "winnow-dist", func(s *solver) {
+			s.start = 0
+			s.bound = 6
+			s.dist = refDist(s.g, s.start)
+			s.winnow()
+			far := graph.Vertex(len(s.ecc) - 1)
+			s.dist[far]++ // one wrong distance
+			s.checkWinnowBall()
+		})
+	})
+	t.Run("winnow-dist-active", func(t *testing.T) {
+		mustViolate(t, "winnow-dist", func(s *solver) {
+			s.start = 0
+			s.bound = 6
+			s.dist = refDist(s.g, s.start)
+			s.winnowDepth = 3 // claims the ball is done, but nothing was winnowed
 			s.checkWinnowBall()
 		})
 	})

@@ -28,7 +28,7 @@ var (
 // traced or not.
 var (
 	cBFSTraversals = obs.Default().Counter("fdiam_bfs_traversals_total",
-		"BFS traversals of finished solves: eccentricity BFS plus Winnow (Stats.BFSTraversals, the paper's Table 3 count)")
+		"BFS traversals of finished solves as the paper's Table 3 counts them: eccentricity BFS plus one per Winnow call, though Winnow scans distances already computed (Stats.BFSTraversals)")
 	cDirSwitches = obs.Default().Counter("fdiam_bfs_dir_switches_total",
 		"direction switches (top-down <-> bottom-up) of finished solves")
 	cBoundImprovements = obs.Default().Counter("fdiam_bound_improvements_total",

@@ -7,7 +7,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
 	"fdiam/internal/graph"
 	"fdiam/internal/par"
@@ -147,33 +146,18 @@ func (s *solver) recordBound(v graph.Vertex, val int32, attr Stage) (removed boo
 	return false
 }
 
-// markWinnowed removes all Active vertices of a frontier. Vertices that
+// winnowBall removes every Active vertex v with 1 ≤ dist[v] ≤ depth: the
+// Winnow ball around dist's source, minus the source itself. Vertices that
 // already carry information (a computed eccentricity or an Eliminate upper
 // bound) keep it — they are removed either way, and the recorded value may
-// still seed a later region extension.
+// still seed a later region extension. Unreached vertices (dist −1) lie
+// outside every ball.
 //
 //fdiam:hotpath
 //fdiam:boundsetter
-func (s *solver) markWinnowed(frontier []graph.Vertex, workers int) {
-	if workers > 1 && len(frontier) >= 4096 {
-		var removed int64
-		//fdiamlint:ignore deepalloc pool dispatch allocates one parked-job header, amortized over a ≥4096-vertex frontier
-		par.ForRange(len(frontier), workers, 0, func(lo, hi int) {
-			local := int64(0)
-			for _, v := range frontier[lo:hi] {
-				if s.ecc[v] == Active {
-					s.ecc[v] = Winnowed
-					s.stage[v] = StageWinnow
-					local++
-				}
-			}
-			atomic.AddInt64(&removed, local)
-		})
-		s.stats.RemovedWinnow += removed
-		return
-	}
-	for _, v := range frontier {
-		if s.ecc[v] == Active {
+func (s *solver) winnowBall(dist []int32, depth int32) {
+	for v, d := range dist {
+		if d >= 1 && d <= depth && s.ecc[v] == Active {
 			s.ecc[v] = Winnowed
 			s.stage[v] = StageWinnow
 			s.stats.RemovedWinnow++

@@ -51,6 +51,7 @@ func TestWinnowMarksExactlyTheBall(t *testing.T) {
 		g := gen.RandomConnected(200, int(seed*13)%150, seed+800)
 		s := prepSolver(g, Options{Workers: 1})
 		s.start = g.MaxDegreeVertex()
+		s.dist = refDist(g, s.start)
 		s.bound = 9 // arbitrary bound; ball radius 4
 		s.winnow()
 
@@ -76,6 +77,7 @@ func TestWinnowIncrementalEqualsFromScratch(t *testing.T) {
 
 		inc := prepSolver(g, Options{Workers: 1})
 		inc.start = u
+		inc.dist = refDist(g, u)
 		inc.bound = 6 // radius 3
 		inc.winnow()
 		inc.bound = 12 // radius 6
@@ -83,6 +85,7 @@ func TestWinnowIncrementalEqualsFromScratch(t *testing.T) {
 
 		direct := prepSolver(g, Options{Workers: 1})
 		direct.start = u
+		direct.dist = refDist(g, u)
 		direct.bound = 12
 		direct.winnow()
 
@@ -101,6 +104,7 @@ func TestWinnowNoOpWhenRadiusUnchanged(t *testing.T) {
 	g := gen.RandomConnected(100, 60, 77)
 	s := prepSolver(g, Options{Workers: 1})
 	s.start = g.MaxDegreeVertex()
+	s.dist = refDist(g, s.start)
 	s.bound = 8
 	s.winnow()
 	marked := s.stats.RemovedWinnow
@@ -365,6 +369,7 @@ func TestTheorem2WinnowSafety(t *testing.T) {
 		info := ecc.Compute(g, 0)
 		s := prepSolver(g, Options{Workers: 1})
 		s.start = g.MaxDegreeVertex()
+		s.dist = refDist(g, s.start)
 		// Use a deliberately low bound — winnowing must STILL keep a
 		// diameter witness when diam > bound.
 		s.bound = info.Diameter - 1

@@ -63,7 +63,7 @@ func AverageDistance(g *graph.Graph, sources int, seed uint64, workers int) Dist
 		out.Sources++
 		// One partial (here: unbounded) BFS per source; the per-level
 		// callback aggregates the distance histogram directly.
-		e.Partial([]graph.Vertex{src}, -1, workers > 1, nil, func(level int32, frontier []graph.Vertex) {
+		e.Partial([]graph.Vertex{src}, -1, workers > 1, func(level int32, frontier []graph.Vertex) {
 			for int(level) >= len(out.Histogram) {
 				out.Histogram = append(out.Histogram, 0)
 			}

@@ -281,7 +281,7 @@ func (s Step) parallel() int64 {
 
 // TraversalStart opens a traversal span. kind is "ecc" (full eccentricity
 // BFS), "dist" (full BFS recording distances), or "partial" (bounded or
-// multi-source partial BFS: Winnow, Eliminate, region extension).
+// multi-source partial BFS: Eliminate, region extension).
 func (r *Run) TraversalStart(kind string, seeds int) {
 	if r == nil {
 		return
