@@ -18,20 +18,31 @@ import (
 // shared traversal over up to 64 of the solver's exact evaluations.
 //
 // Two kernels expand a level, mirroring the single-source engine's
-// direction optimization:
+// direction optimization (Then et al., "The More the Merrier", PVLDB 2014,
+// show that bit-parallel BFS direction-optimizes like the scalar one):
 //
-//   - push (serial): scatter the active list's frontier words along its
-//     out-edges. Cost ≈ the active list's outgoing arcs; no atomics
-//     because it is serial.
-//   - pull (parallel): every vertex gathers its neighbors' frontier words
-//     under the worker pool. Cost ≈ (n + m)/workers; race-free because
-//     vertex v's words are written only by v's range owner.
+//   - push: scatter the active list's frontier words along its out-edges.
+//     Cost ≈ the active list's outgoing arcs, each a random
+//     read-modify-write plus appends; serial, so no atomics.
+//   - pull: every vertex gathers its neighbors' frontier words. A vertex
+//     whose seen word already holds every live lane is skipped, and a
+//     gather stops as soon as no live lane is missing: the bit-parallel
+//     analogue of bottom-up early exit. Cost ≤ (n + m)/workers of mostly
+//     sequential reads; runs inline at Workers = 1 and under the worker
+//     pool otherwise, race-free because vertex v's words are written only
+//     by v's range owner.
 //
-// A per-level cost model picks the cheaper one (see msPullThreshold). All
+// A per-level cost model picks the cheaper one (see msPushCost). All
 // per-vertex words are engine-owned and reused across batches: a dirty
 // list of first-touched vertices makes the inter-batch reset O(touched)
 // instead of O(n), and the per-worker reduction buffers are hoisted out of
 // the level loop (allocated once per engine).
+
+// msPushCost is how many pull arcs one push arc costs: the kernel choice
+// pulls when the active arcs exceed (n + m)/(workers · msPushCost). Fitted
+// from per-level timings of both kernels on the low-diameter stand-ins'
+// batches (DESIGN.md §11).
+const msPushCost = 6
 
 // MultiSourceResult is the outcome of one MS-BFS batch. All slices are
 // engine-owned and valid only until the next traversal on the engine;
@@ -112,22 +123,28 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 		}
 		ms.seen[s] |= 1 << uint(bit)
 		ms.frontier[s] |= 1 << uint(bit)
-		ms.ecc[bit] = 0
-		ms.wit[bit] = s
 	}
 	ms.touched = len(ms.active)
 
 	tr := e.trace
 	tr.TraversalStart("msbfs", len(sources))
 	maxDeg := int64(e.g.MaxDegree())
-	pullThr := (int64(n) + e.g.NumArcs()) / int64(e.workers)
+	pullThr := (int64(n) + e.g.NumArcs()) / int64(e.workers*msPushCost)
+	pullStep := obs.StepMSPullSerial
+	if e.workers > 1 {
+		pullStep = obs.StepMSPullParallel
+	}
+	// live holds the lanes of the sources still advancing: exactly the
+	// union of the current frontier words.
+	live := ^uint64(0) >> uint(64-len(sources))
 	var level int32
-	for len(ms.active) > 0 {
+	for live != 0 {
 		// One atomic load per level: abort between levels so every
 		// recorded eccentricity stays a sound lower bound and the hot
 		// kernels carry no cancellation overhead.
 		if e.cancel != nil && e.cancel.Load() {
 			e.aborted = true
+			e.msResolve(live, level)
 			break
 		}
 		if e.barrier != nil {
@@ -137,11 +154,9 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 		// bound on the active arcs keeps the exact O(active) sum off
 		// levels where pull is out of the question.
 		usePull := false
-		if e.workers > 1 && n >= e.serialCutoff {
+		if n >= e.serialCutoff {
 			if ub := int64(len(ms.active)) * maxDeg; ub > pullThr {
-				if e.msActiveArcs() > pullThr {
-					usePull = true
-				}
+				usePull = e.msActiveArcs() > pullThr
 			}
 		}
 		var lvlStart time.Time
@@ -154,34 +169,23 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 		}
 		ms.nextAct = ms.nextAct[:0]
 		var advanced uint64
-		var step obs.Step
+		step := obs.StepMSPush
 		if usePull {
-			step = obs.StepMSPull
-			advanced = e.msPull()
+			step = pullStep
+			advanced = e.msPull(live)
 		} else {
-			step = obs.StepMSPush
 			advanced = e.msPush()
 		}
+		// A lane that did not advance has ended: its eccentricity is the
+		// current level, its witness the lowest id in its last frontier.
+		if ended := live &^ advanced; ended != 0 {
+			e.msResolve(ended, level)
+		}
+		live = advanced
 		if advanced == 0 {
 			break
 		}
 		level++
-		// Every source whose traversal advanced has eccentricity ≥ level,
-		// and its witness moves to this level.
-		for b := advanced; b != 0; b &= b - 1 {
-			i := bits.TrailingZeros64(b)
-			ms.ecc[i] = level
-			ms.wit[i] = graph.NoVertex
-		}
-		// Witness extraction stays serial, and keeps the lowest id per
-		// source: the pull kernel's frontier order depends on the worker
-		// count, the lowest id does not.
-		for _, w := range ms.nextAct {
-			for b := ms.next[w]; b != 0; b &= b - 1 {
-				i := bits.TrailingZeros64(b)
-				ms.wit[i] = min(ms.wit[i], w)
-			}
-		}
 		e.msSwapFrontier()
 		hLevelSeconds.ObserveSince(lvlStart)
 		tr.LevelDone(level, step, len(ms.nextAct), lvlArcs, n-ms.touched, lvlStart)
@@ -194,6 +198,29 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 		Witness: ms.wit[:len(sources)],
 		Levels:  level,
 		Aborted: e.aborted,
+	}
+}
+
+// msResolve records level as the eccentricity of every lane in lanes and
+// reads each one's witness off the current frontier: the lowest-id active
+// vertex whose frontier word carries the lane. The lowest id does not
+// depend on the order a kernel emitted the active list in, so witnesses
+// agree across kernels and worker counts. Called once per level at which
+// some lane ends, and on abort for the lanes still live.
+//
+//fdiam:hotpath
+func (e *Engine) msResolve(lanes uint64, level int32) {
+	ms := &e.ms
+	for b := lanes; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(b)
+		ms.ecc[i] = level
+		ms.wit[i] = graph.NoVertex
+	}
+	for _, v := range ms.active {
+		for b := ms.frontier[v] & lanes; b != 0; b &= b - 1 {
+			i := bits.TrailingZeros64(b)
+			ms.wit[i] = min(ms.wit[i], v)
+		}
 	}
 }
 
@@ -292,16 +319,20 @@ func (e *Engine) msPush() uint64 {
 	return advanced
 }
 
-// msPull is the parallel gather kernel: every vertex gathers the frontier
-// words of its neighbors under the worker pool. Race-free by ownership —
-// vertex v's seen/next words are written only by the worker that owns v's
-// range, and frontier is read-only during the level. The per-worker
-// advanced words and first-touch counts land in the hoisted reduction
-// buffers; the per-worker frontier/dirty buffers are concatenated after
-// the barrier exactly like the single-source parallel kernels.
+// msPull is the gather kernel: every vertex gathers the frontier words of
+// its neighbors, inline at Workers = 1 and under the worker pool
+// otherwise. live is the union of the frontier words, so a vertex whose
+// seen word covers it can gain nothing and is skipped, and a gather stops
+// once the accumulated word and seen together cover it. Race-free by
+// ownership — vertex v's seen/next words are written only by the worker
+// that owns v's range, and frontier is read-only during the level. The
+// per-worker advanced words and first-touch counts land in the hoisted
+// reduction buffers; the per-worker frontier/dirty buffers are
+// concatenated after the barrier exactly like the single-source parallel
+// kernels.
 //
 //fdiam:hotpath
-func (e *Engine) msPull() uint64 {
+func (e *Engine) msPull(live uint64) uint64 {
 	offsets, targets := e.g.Offsets(), e.g.Targets()
 	seen, frontier, next := e.ms.seen, e.ms.frontier, e.ms.next
 	n := e.g.NumVertices()
@@ -314,17 +345,26 @@ func (e *Engine) msPull() uint64 {
 		e.bufs[w] = e.bufs[w][:0]
 		e.ms.dbufs[w] = e.ms.dbufs[w][:0]
 	}
+	// Lanes outside live can never arrive this level: count them as seen.
+	dead := ^live
 	e.parForWorker(n, workers, 1024, func(worker, lo, hi int) {
 		buf := e.bufs[worker]
 		dbuf := e.ms.dbufs[worker]
 		var adv uint64
 		var tc int64
 		for v := lo; v < hi; v++ {
+			sv := seen[v]
+			full := sv | dead
+			if full == ^uint64(0) {
+				continue
+			}
 			var acc uint64
 			for _, w := range targets[offsets[v]:offsets[v+1]] {
 				acc |= frontier[w]
+				if acc|full == ^uint64(0) {
+					break
+				}
 			}
-			sv := seen[v]
 			acc &^= sv
 			if acc == 0 {
 				continue

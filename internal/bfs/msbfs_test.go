@@ -1,11 +1,13 @@
 package bfs
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
+	"fdiam/internal/obs"
 )
 
 // msEccs runs sources through MultiSourceRun in batches of 64 and returns
@@ -206,6 +208,7 @@ func TestMultiSourceRunCancelImmediate(t *testing.T) {
 
 func TestMultiSourceRunCancelMidRun(t *testing.T) {
 	g := gen.Grid2D(40, 40) // diameter 78: plenty of levels
+	sources := []graph.Vertex{0, 41, 820, 1599}
 	e := New(g, 1)
 	var flag atomic.Bool
 	e.SetCancel(&flag)
@@ -216,7 +219,7 @@ func TestMultiSourceRunCancelMidRun(t *testing.T) {
 			flag.Store(true)
 		}
 	})
-	res := e.MultiSourceRun([]graph.Vertex{0})
+	res := e.MultiSourceRun(sources)
 	if !res.Aborted {
 		t.Fatal("expected aborted run")
 	}
@@ -226,7 +229,15 @@ func TestMultiSourceRunCancelMidRun(t *testing.T) {
 		t.Fatalf("aborted ecc %d not a strict lower bound of %d", res.Ecc[0], want)
 	}
 	if res.Ecc[0] != res.Levels {
-		t.Fatalf("single-source lower bound %d != completed levels %d", res.Ecc[0], res.Levels)
+		t.Fatalf("source 0 lower bound %d != completed levels %d", res.Ecc[0], res.Levels)
+	}
+	// Each aborted witness lies at distance Ecc from its source.
+	dist := make([]int32, g.NumVertices())
+	for i, s := range sources {
+		ref.Distances(s, dist)
+		if w := res.Witness[i]; dist[w] != res.Ecc[i] {
+			t.Errorf("source %d: aborted witness %d at distance %d, want %d", s, w, dist[w], res.Ecc[i])
+		}
 	}
 }
 
@@ -243,29 +254,116 @@ func TestMultiSourceRunBarrierPerLevel(t *testing.T) {
 	}
 }
 
-func TestMultiSourceRunPullKernelAgrees(t *testing.T) {
-	// A star's center frontier passes the pull gate immediately at
-	// workers > 1; the RMAT exercises mixed push/pull level sequences.
-	graphs := map[string]*graph.Graph{
-		"star": gen.Star(5000),
-		"rmat": gen.RMAT(12, 8, gen.DefaultRMAT, 3),
+// pullLevels is an obs sink counting the multi-source levels each kernel
+// expanded, keyed by step name, with the level's parallel arg.
+type pullLevels map[string][]int64
+
+func (p pullLevels) Emit(ev obs.Event) {
+	if ev.Cat != "level" {
+		return
 	}
-	for name, g := range graphs {
-		serial := New(g, 1)
-		parallel := New(g, 4)
-		parallel.setSerialCutoff(0)
-		sources := collectSources(g, 64)
-		a := serial.MultiSourceRun(sources)
-		b := parallel.MultiSourceRun(sources)
-		if a.Levels != b.Levels {
-			t.Fatalf("%s: levels %d vs %d", name, a.Levels, b.Levels)
+	for _, a := range ev.Args {
+		if a.Key == "parallel" {
+			p[ev.Name] = append(p[ev.Name], a.Val)
 		}
-		for i := range sources {
-			if a.Ecc[i] != b.Ecc[i] || a.Witness[i] != b.Witness[i] {
-				t.Fatalf("%s: source %d: ecc %d vs %d, witness %d vs %d",
-					name, i, a.Ecc[i], b.Ecc[i], a.Witness[i], b.Witness[i])
+	}
+}
+
+func (p pullLevels) Close() error { return nil }
+
+// tracedRun runs one batch on e under a tracer and returns the levels each
+// kernel expanded.
+func tracedRun(t *testing.T, e *Engine, sources []graph.Vertex) (MultiSourceResult, pullLevels) {
+	t.Helper()
+	run := obs.NewRun(obs.Config{})
+	levels := pullLevels{}
+	run.AddSink(levels)
+	e.SetTracer(run)
+	res := e.MultiSourceRun(sources)
+	e.SetTracer(nil)
+	if err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return res, levels
+}
+
+func TestMultiSourceRunPullKernelAgrees(t *testing.T) {
+	// A star's center frontier passes the pull gate immediately; the RMAT
+	// exercises mixed push/pull level sequences; in the disjoint input no
+	// vertex ever holds every source's bit, because each component's
+	// lanes never reach the other.
+	star := gen.Star(5000)
+	rmat := gen.RMAT(12, 8, gen.DefaultRMAT, 3)
+	disjoint := gen.Disjoint(gen.Star(3000), gen.Path(400))
+	seq := func(lo, count int) []graph.Vertex {
+		out := make([]graph.Vertex, count)
+		for i := range out {
+			out[i] = graph.Vertex(lo + i)
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		sources []graph.Vertex
+	}{
+		{"star", star, collectSources(star, 64)},
+		{"rmat", rmat, collectSources(rmat, 64)},
+		{"rmat-37", rmat, seq(100, 37)}, // live mask below all-ones
+		{"rmat-64", rmat, seq(200, 64)},
+		{"rmat-dup", rmat, []graph.Vertex{0, 9, 0, 9, 300, 0}},
+		{"disjoint", disjoint, append(seq(0, 20), seq(3000, 20)...)},
+	}
+	for _, c := range cases {
+		ref := New(c.g, 1)
+		ref.setSerialCutoff(c.g.NumVertices() + 1) // push only
+		a := ref.MultiSourceRun(c.sources)
+		for _, workers := range []int{1, 4} {
+			e := New(c.g, workers)
+			e.setSerialCutoff(0)
+			b, levels := tracedRun(t, e, c.sources)
+			e.Close()
+			if c.name == "star" && len(levels["ms-pull-serial"])+len(levels["ms-pull-parallel"]) == 0 {
+				t.Fatalf("%s workers=%d: no pull level (%v)", c.name, workers, levels)
+			}
+			if a.Levels != b.Levels {
+				t.Fatalf("%s workers=%d: levels %d vs %d", c.name, workers, a.Levels, b.Levels)
+			}
+			for i := range c.sources {
+				if a.Ecc[i] != b.Ecc[i] || a.Witness[i] != b.Witness[i] {
+					t.Fatalf("%s workers=%d: source %d: ecc %d vs %d, witness %d vs %d",
+						c.name, workers, i, a.Ecc[i], b.Ecc[i], a.Witness[i], b.Witness[i])
+				}
 			}
 		}
+	}
+}
+
+// TestMultiSourceRunSerialPullTrace: a Workers=1 pull level runs inline,
+// and the trace must say so.
+func TestMultiSourceRunSerialPullTrace(t *testing.T) {
+	g := gen.Star(5000)
+	e := New(g, 1)
+	_, levels := tracedRun(t, e, collectSources(g, 64))
+	if len(levels["ms-pull-serial"]) == 0 || len(levels["ms-pull-parallel"]) != 0 {
+		t.Fatalf("Workers=1 levels %v: want ms-pull-serial and no ms-pull-parallel", levels)
+	}
+	for _, par := range levels["ms-pull-serial"] {
+		if par != 0 {
+			t.Fatalf("Workers=1 pull level reports parallel=%d", par)
+		}
+	}
+}
+
+// TestMultiSourceRunPullsAtOneWorker: on the soc-LiveJournal1 stand-in the
+// level where the whisker tips reach the core is far cheaper as a pull, so
+// a Workers=1 batch must run at least one.
+func TestMultiSourceRunPullsAtOneWorker(t *testing.T) {
+	g := gen.CoreWhiskers(187500, 10, 0.10, 7, 1)
+	e := New(g, 1)
+	_, levels := tracedRun(t, e, collectSources(g, 64))
+	if len(levels["ms-pull-serial"]) == 0 {
+		t.Fatalf("Workers=1 batch ran no pull level: %v", levels)
 	}
 }
 
@@ -302,4 +400,84 @@ func Benchmark64SingleSource(b *testing.B) {
 			e.Eccentricity(graph.Vertex(s * 17))
 		}
 	}
+}
+
+// FuzzMultiSourceMatchesSingleSource cross-checks MS-BFS against one
+// Distances BFS per source on fuzzer-made graphs (pairs of bytes become
+// edges over 48 vertices) and source sets (one byte per source, at most
+// 64): every Ecc and lowest-id Witness, push-only and with the pull kernel
+// at Workers = 1 and 2, plus a run cancelled at a fuzzer-chosen level,
+// whose values must be the lower bounds the contract promises.
+func FuzzMultiSourceMatchesSingleSource(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 2, 3}, []byte{0, 3}, uint8(2))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 5}, []byte{1, 1, 5, 0}, uint8(1))          // star + tail, duplicates
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, []byte{0, 2, 4, 47}, uint8(0))                     // matching + isolated source
+	f.Add([]byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0}, []byte{0, 3, 6}, uint8(3)) // 7-cycle
+	f.Fuzz(func(t *testing.T, edges, srcs []byte, cancelAt uint8) {
+		const n = 48
+		if len(edges) > 512 || len(srcs) == 0 {
+			return
+		}
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			b.AddEdge(graph.Vertex(edges[i]%n), graph.Vertex(edges[i+1]%n))
+		}
+		g := b.Build()
+		sources := make([]graph.Vertex, 0, 64)
+		for _, s := range srcs[:min(len(srcs), 64)] {
+			sources = append(sources, graph.Vertex(s%n))
+		}
+		dists := make([][]int32, len(sources))
+		eccs := make([]int32, len(sources))
+		ref := New(g, 1)
+		for i, s := range sources {
+			dists[i] = make([]int32, n)
+			eccs[i] = ref.Distances(s, dists[i])
+		}
+		// check compares one run against the reference: each Ecc is the
+		// true eccentricity capped at the completed levels (uncapped
+		// unless aborted), each Witness the lowest id at distance Ecc.
+		check := func(what string, res MultiSourceResult) {
+			for i, s := range sources {
+				want := eccs[i]
+				if res.Aborted {
+					want = min(want, res.Levels)
+				}
+				if res.Ecc[i] != want {
+					t.Fatalf("%s: source %d: ecc %d, want %d (edges %v)", what, s, res.Ecc[i], want, g.Edges())
+				}
+				lowest := graph.Vertex(slices.Index(dists[i], want))
+				if res.Witness[i] != lowest {
+					t.Fatalf("%s: source %d: witness %d, want %d (edges %v)", what, s, res.Witness[i], lowest, g.Edges())
+				}
+			}
+		}
+		for _, c := range []struct {
+			name            string
+			workers, cutoff int
+		}{
+			{"push-only", 1, n + 1},
+			{"workers=1", 1, 0},
+			{"workers=2", 2, 0},
+		} {
+			e := New(g, c.workers)
+			e.setSerialCutoff(c.cutoff)
+			res := e.MultiSourceRun(sources)
+			if res.Aborted {
+				t.Fatalf("%s: aborted without a cancel flag", c.name)
+			}
+			check(c.name, res)
+			var flag atomic.Bool
+			levels := 0
+			e.SetCancel(&flag)
+			e.SetBarrier(func() {
+				levels++
+				if levels > int(cancelAt%16) {
+					flag.Store(true)
+				}
+			})
+			check(c.name+" cancelled", e.MultiSourceRun(sources))
+			e.Close()
+		}
+	})
 }

@@ -20,8 +20,9 @@ import (
 // and the number of levels is at least the largest source eccentricity —
 // which the current bound predicts. With fewer levels than bit-lanes the
 // shared frontier words amortize across sources and the batch beats even
-// direction-optimized singles (measured: social/web graphs with bounds
-// of 10–40 win 1.2–2.3×); with hundreds of levels (road networks, grids)
+// direction-optimized singles (measured on the solve-lowdiam social
+// stand-ins, bound 21, 2-core VM: solves with batching are 1.3–9× faster
+// than without); with hundreds of levels (road networks, grids)
 // the spread-out frontiers share nothing and the batch loses outright.
 // Capping at the lane count is the natural break-even.
 const batchMaxBound = 64
@@ -152,7 +153,7 @@ func (s *solver) runBatch(i int) bool {
 		return false
 	}
 	if checkedBuild {
-		s.checkBatchEcc(sources, res.Ecc)
+		s.checkBatchEcc(sources, res.Ecc, res.Witness)
 	}
 
 	committed, discarded := 0, 0

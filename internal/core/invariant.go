@@ -4,6 +4,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fdiam/internal/baseline"
 	"fdiam/internal/graph"
@@ -177,25 +178,29 @@ func (s *solver) checkRecord(v graph.Vertex, cur, val int32) {
 }
 
 // checkBatchEcc cross-checks every eccentricity a completed MS-BFS batch is
-// about to commit against an independent single-source BFS (capped like the
-// other differential checks): the bit-parallel kernels share frontier words
-// across sources, so a masking bug would corrupt exactly these values.
-func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32) {
+// about to commit, and the witness that comes with it, against an
+// independent single-source BFS (capped like the other differential
+// checks): the bit-parallel kernels share frontier words across sources,
+// so a masking bug would corrupt exactly these values. The witness must be
+// the lowest-id vertex at distance Ecc from its source, the contract that
+// makes it independent of kernel order and worker count.
+func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32, wits []graph.Vertex) {
 	if len(s.ecc) > checkedDiffMaxN {
 		return
 	}
 	for i, src := range sources {
 		dist := s.checkedDistances([]graph.Vertex{src})
-		var want int32
-		for _, d := range dist {
-			if d > want {
-				want = d
-			}
-		}
+		want := slices.Max(dist)
+		lowest := graph.Vertex(slices.Index(dist, want))
 		if eccs[i] != want {
 			violate("batch-ecc",
 				"batch source %d (bit %d): MS-BFS eccentricity %d != independent BFS %d",
 				src, i, eccs[i], want)
+		}
+		if wits[i] != lowest {
+			violate("batch-witness",
+				"batch source %d (bit %d): witness %d, want %d, the lowest id at distance %d",
+				src, i, wits[i], lowest, want)
 		}
 	}
 }

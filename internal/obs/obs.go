@@ -230,11 +230,13 @@ const (
 	StepTopDownParallel
 	StepBottomUpSerial
 	StepBottomUpParallel
-	// StepMSPush and StepMSPull are the bit-parallel multi-source kernels:
-	// push scatters the active frontier's bit words serially, pull gathers
-	// neighbor words over all vertices under the worker pool.
+	// StepMSPush, StepMSPullSerial and StepMSPullParallel are the
+	// bit-parallel multi-source kernels: push scatters the active
+	// frontier's bit words serially, pull gathers neighbor words over all
+	// vertices, inline at Workers = 1 and under the worker pool otherwise.
 	StepMSPush
-	StepMSPull
+	StepMSPullSerial
+	StepMSPullParallel
 )
 
 func (s Step) String() string {
@@ -249,8 +251,10 @@ func (s Step) String() string {
 		return "bu-parallel"
 	case StepMSPush:
 		return "ms-push"
-	case StepMSPull:
-		return "ms-pull"
+	case StepMSPullSerial:
+		return "ms-pull-serial"
+	case StepMSPullParallel:
+		return "ms-pull-parallel"
 	default:
 		return "invalid"
 	}
@@ -260,14 +264,14 @@ func (s Step) String() string {
 // bottom-up/pull); parallel returns its parallelism arg value (0 = serial,
 // 1 = parallel).
 func (s Step) dir() int64 {
-	if s == StepBottomUpSerial || s == StepBottomUpParallel || s == StepMSPull {
+	if s == StepBottomUpSerial || s == StepBottomUpParallel || s == StepMSPullSerial || s == StepMSPullParallel {
 		return 1
 	}
 	return 0
 }
 
 func (s Step) parallel() int64 {
-	if s == StepTopDownParallel || s == StepBottomUpParallel || s == StepMSPull {
+	if s == StepTopDownParallel || s == StepBottomUpParallel || s == StepMSPullParallel {
 		return 1
 	}
 	return 0
