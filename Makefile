@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: all build test race lint checked bench fuzz-smoke chaos serve fmt clean
+.PHONY: all build test race lint checked examples bench fuzz-smoke chaos serve fmt clean
 
 all: build test
 
@@ -35,6 +35,10 @@ lint: $(BIN)/fdiamlint
 # paper-theorem invariants at runtime plus the naive-baseline differential.
 checked:
 	$(GO) test -tags fdiam.checked -count=1 ./internal/core/...
+
+# examples runs every examples/* main, as CI does; each must exit 0.
+examples:
+	set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run "./$$d"; done
 
 # bench runs the repository benchmark (perfbench/, declared in
 # BENCHMARK.json) on every workload; see perfbench/README.md for its flags.

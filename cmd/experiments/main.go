@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +33,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-algos, ext-allecc, ext-diropt, ext-twosweep, ext-approx, ext")
+	which := fs.String("run", "all", "experiment: table1..table5, fig6..fig9, all; extensions beyond the paper: ext-diropt, ext-twosweep, ext-approx, ext")
 	scaleFlag := fs.String("scale", "quick", "stand-in scale: quick or full")
 	runs := fs.Int("runs", 3, "timed repetitions per measurement (median reported; the paper uses 9)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-run timeout (the paper used 2.5h at full dataset scale)")
@@ -133,14 +132,6 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		return false
-	}
-	if wantExt("ext-algos") {
-		ran = true
-		bench.TableExtensions(out, workloads, cfg)
-	}
-	if wantExt("ext-allecc") {
-		ran = true
-		bench.TableAllEcc(context.Background(), out, workloads, cfg)
 	}
 	if wantExt("ext-diropt") {
 		ran = true

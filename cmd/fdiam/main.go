@@ -88,15 +88,15 @@ func main() {
 // result was still reported.
 func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("fdiam", flag.ContinueOnError)
-	algo := fs.String("algo", "fdiam", "algorithm: fdiam, ifub, bounding, korf, naive")
+	algo := fs.String("algo", "fdiam", "algorithm: fdiam, ifub, bounding, naive")
 	workers := fs.Int("workers", 0, "parallel workers inside each BFS (0 = all CPUs, 1 = serial)")
 	timeout := fs.Duration("timeout", 0, "abort after this duration (0 = none); the paper used 2.5h")
 	showStats := fs.Bool("stats", false, "print F-Diam stage statistics (BFS counts, removal %, timings)")
-	noWinnow := fs.Bool("no-winnow", false, "disable Winnow (ablation)")
-	noElim := fs.Bool("no-eliminate", false, "disable Eliminate (ablation)")
-	noChain := fs.Bool("no-chain", false, "disable Chain Processing (ablation)")
-	noU := fs.Bool("no-u", false, "start from vertex 0 instead of the max-degree vertex (ablation)")
-	noDirOpt := fs.Bool("no-diropt", false, "force plain top-down BFS (disable the bottom-up switch)")
+	noWinnow := fs.Bool("no-winnow", false, "disable Winnow (ablation); fdiam only")
+	noElim := fs.Bool("no-eliminate", false, "disable Eliminate (ablation); fdiam only")
+	noChain := fs.Bool("no-chain", false, "disable Chain Processing (ablation); fdiam only")
+	noU := fs.Bool("no-u", false, "start from vertex 0 instead of the max-degree vertex (ablation); fdiam only")
+	noDirOpt := fs.Bool("no-diropt", false, "force plain top-down BFS (disable the bottom-up switch); fdiam only")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	verbose := fs.Bool("v", false, "print graph statistics before solving")
@@ -116,9 +116,11 @@ func run(args []string, out io.Writer) (int, error) {
 	if fs.NArg() != 1 {
 		return exitError, fmt.Errorf("usage: fdiam [flags] <graph-file> (see -h)")
 	}
-	if *algo != "fdiam" && (*traceFile != "" || *progress != 0 || *ckDir != "" ||
-		*epsilon != 0 || *approxSweeps != 0) {
-		return exitError, fmt.Errorf("-trace, -progress, -checkpoint-dir, -epsilon and -approx require -algo fdiam")
+	// The baselines take only -workers and -timeout; an F-Diam-only flag
+	// beside them would be silently ignored.
+	if *algo != "fdiam" && (*traceFile != "" || *progress != 0 || *ckDir != "" || *ckEvery != 0 ||
+		*epsilon != 0 || *approxSweeps != 0 || *noWinnow || *noElim || *noChain || *noU || *noDirOpt) {
+		return exitError, fmt.Errorf("-trace, -progress, -checkpoint-dir, -checkpoint-interval, -epsilon, -approx and the ablation flags (-no-winnow, -no-eliminate, -no-chain, -no-u, -no-diropt) require -algo fdiam")
 	}
 	if *epsilon < -1 {
 		return exitError, fmt.Errorf("-epsilon %d: use a tolerance ≥ 0, or -1 to force exactness on resume", *epsilon)
@@ -260,7 +262,7 @@ func run(args []string, out io.Writer) (int, error) {
 			fmt.Fprintf(out, "stats: %s\n", res.Stats.String())
 		}
 		return solveExitCode(res.TimedOut, res.Cancelled), nil
-	case "ifub", "bounding", "korf", "naive":
+	case "ifub", "bounding", "naive":
 		opt := baseline.Options{Workers: *workers, Timeout: *timeout}
 		var res baseline.Result
 		switch *algo {
@@ -268,8 +270,6 @@ func run(args []string, out io.Writer) (int, error) {
 			res = baseline.IFUB(g, opt)
 		case "bounding":
 			res = baseline.Bounding(g, opt)
-		case "korf":
-			res = baseline.Korf(g, opt)
 		case "naive":
 			res = baseline.Naive(g, opt)
 		}

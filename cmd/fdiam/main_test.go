@@ -29,7 +29,7 @@ func writeTempGraph(t *testing.T) string {
 
 func TestRunComputesDiameter(t *testing.T) {
 	path := writeTempGraph(t)
-	for _, algo := range []string{"fdiam", "ifub", "bounding", "korf", "naive"} {
+	for _, algo := range []string{"fdiam", "ifub", "bounding", "naive"} {
 		var buf bytes.Buffer
 		if _, err := run([]string{"-algo", algo, path}, &buf); err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -187,9 +187,19 @@ func TestRunTraceAndEventsFlags(t *testing.T) {
 		t.Errorf("-events accepted (code %d, err %v), want a usage error", code, err)
 	}
 
-	// The observability flags are wired to the F-Diam solver only.
-	if _, err := run([]string{"-algo", "ifub", "-trace", trace, path}, &buf); err == nil {
-		t.Error("-trace with a baseline algorithm accepted")
+	// The observability, checkpoint, anytime and ablation flags are wired
+	// to the F-Diam solver only; a baseline must reject each of them
+	// rather than ignore it.
+	for _, flags := range [][]string{
+		{"-trace", trace}, {"-progress", "1s"},
+		{"-checkpoint-dir", filepath.Join(dir, "ck")}, {"-checkpoint-interval", "1s"},
+		{"-epsilon", "1"}, {"-approx", "2"},
+		{"-no-winnow"}, {"-no-eliminate"}, {"-no-chain"}, {"-no-u"}, {"-no-diropt"},
+	} {
+		args := append(append([]string{"-algo", "ifub"}, flags...), path)
+		if code, err := run(args, &buf); err == nil || code != exitError {
+			t.Errorf("%v with a baseline algorithm accepted (code %d, err %v)", flags, code, err)
+		}
 	}
 }
 

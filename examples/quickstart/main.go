@@ -44,14 +44,10 @@ func main() {
 	fmt.Printf("removed without a BFS: winnow %.0f%%, eliminate %.0f%%, chain %.0f%%\n",
 		s.PctWinnow(), s.PctEliminate(), s.PctChain())
 
-	// Cross-check against the brute-force O(nm) reference and the radius.
+	// The two vertices that realize the diameter, and a cross-check
+	// against the brute-force O(nm) reference.
+	fmt.Printf("diameter realized between %s and %s\n", names[res.WitnessA], names[res.WitnessB])
 	naive := fdiam.DiameterNaive(g, fdiam.BaselineOptions{})
-	info := fdiam.AnalyzeNetwork(g, 0)
 	fmt.Printf("brute-force check: %d (%d BFS traversals vs F-Diam's %d)\n",
 		naive.Diameter, naive.BFSTraversals, s.BFSTraversals())
-	fmt.Printf("radius: %d, center vertices: ", info.Radius)
-	for _, c := range info.Center {
-		fmt.Printf("%s ", names[c])
-	}
-	fmt.Println()
 }

@@ -1,8 +1,7 @@
 // Road-network analysis: the diameter of a road graph bounds the worst-case
-// driving distance (in segments) between any two intersections, and the
-// center is where a depot should go. This is the topology class where the
-// paper's baselines time out (USA-road-d, europe_osm): huge diameter, tiny
-// average degree.
+// driving distance (in segments) between any two intersections. This is
+// the topology class where the paper's baselines time out (USA-road-d,
+// europe_osm): huge diameter, tiny average degree.
 //
 //	go run ./examples/roadnetwork
 package main
@@ -53,16 +52,4 @@ func main() {
 
 	fmt.Printf("\nstage breakdown: winnow removed %.1f%%, eliminate %.1f%%, chains (dead ends) %.1f%%\n",
 		res.Stats.PctWinnow(), res.Stats.PctEliminate(), res.Stats.PctChain())
-
-	// Depot placement: the graph center minimizes the worst-case distance
-	// to any intersection. Eccentricity bounding resolves every vertex
-	// with a small fraction of the n brute-force BFS traversals; the
-	// radius is guaranteed to be at least diameter/2 (paper Theorem 3).
-	fmt.Println("\ncomputing center for depot placement (eccentricity bounding)...")
-	start = time.Now()
-	info := fdiam.AnalyzeNetwork(g, 0)
-	fmt.Printf("radius %d (≥ diameter/2 = %d), %d optimal depot location(s), e.g. intersection %d\n",
-		info.Radius, res.Diameter/2, len(info.Center), info.Center[0])
-	fmt.Printf("(%d BFS traversals instead of %d, in %v)\n",
-		info.BFSTraversals, s.Vertices, time.Since(start).Round(time.Millisecond))
 }

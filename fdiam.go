@@ -33,7 +33,6 @@ import (
 
 	"fdiam/internal/baseline"
 	"fdiam/internal/core"
-	"fdiam/internal/ecc"
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
 	"fdiam/internal/graphio"
@@ -112,20 +111,6 @@ func DiameterBounding(g *Graph, opt BaselineOptions) BaselineResult { return bas
 // DiameterNaive computes the exact diameter with one BFS per vertex — the
 // O(nm) reference.
 func DiameterNaive(g *Graph, opt BaselineOptions) BaselineResult { return baseline.Naive(g, opt) }
-
-// NetworkInfo bundles the eccentricity distribution of a graph: diameter,
-// radius, center, periphery, and per-vertex eccentricities.
-type NetworkInfo = ecc.Info
-
-// AnalyzeNetwork computes NetworkInfo with the Takes–Kosters bounded
-// all-eccentricities algorithm — typically a small fraction of n BFS
-// traversals instead of the brute-force n. Radius, center and periphery are
-// those of the largest connected component; NetworkInfo.BFSTraversals
-// reports the traversals spent.
-func AnalyzeNetwork(g *Graph, workers int) NetworkInfo {
-	//fdiamlint:ignore ctxflow the facade synthesizes the root ctx; nothing can cancel an AnalyzeNetwork call
-	return ecc.FastInfo(context.Background(), g, workers)
-}
 
 // GraphStats summarizes structural properties (Table 1's columns).
 type GraphStats = graph.Stats

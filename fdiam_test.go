@@ -21,13 +21,13 @@ import (
 func TestFacadeSurface(t *testing.T) {
 	want := []string{
 		// functions
-		"AnalyzeNetwork", "ComputeGraphStats", "Diameter", "DiameterBounding",
-		"DiameterCtx", "DiameterIFUB", "DiameterNaive", "DiameterWithOptions",
-		"LoadFile", "NewBuilder", "NewRMAT", "NewRoadNetwork", "NewSocialNetwork",
+		"ComputeGraphStats", "Diameter", "DiameterBounding", "DiameterCtx",
+		"DiameterIFUB", "DiameterNaive", "DiameterWithOptions", "LoadFile",
+		"NewBuilder", "NewRMAT", "NewRoadNetwork", "NewSocialNetwork",
 		// types
 		"BaselineOptions", "BaselineResult", "Builder", "CheckpointOptions",
-		"Edge", "Graph", "GraphStats", "NetworkInfo", "Options", "Result",
-		"Stats", "Vertex",
+		"Edge", "Graph", "GraphStats", "Options", "Result", "Stats",
+		"Vertex",
 	}
 	slices.Sort(want)
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -96,19 +96,6 @@ func TestPublicDiameterAgreesWithBaselines(t *testing.T) {
 	}
 	if got := DiameterNaive(g, BaselineOptions{}).Diameter; got != want {
 		t.Errorf("naive: %d, want %d", got, want)
-	}
-}
-
-func TestEccentricityHelpers(t *testing.T) {
-	info := AnalyzeNetwork(gen.Path(7), 0)
-	if info.Eccs[0] != 6 || info.Eccs[3] != 3 {
-		t.Fatalf("eccs = %v", info.Eccs)
-	}
-	if info.Radius != 3 || len(info.Center) != 1 || info.Center[0] != 3 {
-		t.Fatalf("radius=%d center=%v", info.Radius, info.Center)
-	}
-	if len(info.Periphery) != 2 {
-		t.Fatalf("periphery = %v", info.Periphery)
 	}
 }
 
@@ -197,22 +184,5 @@ func TestResultStatsExposed(t *testing.T) {
 	}
 	if res.Stats.PctWinnow() <= 0 {
 		t.Error("winnow percentage missing")
-	}
-}
-
-// AnalyzeNetwork takes radius, center and periphery from the largest
-// component only: a stray edge or isolated vertex must not become the
-// "center".
-func TestAnalyzeNetwork(t *testing.T) {
-	g := gen.Disjoint(gen.Path(9), gen.Disjoint(gen.Path(2), NewBuilder(1).Build()))
-	info := AnalyzeNetwork(g, 0)
-	if info.Diameter != 8 || info.Radius != 4 {
-		t.Fatalf("info: %+v", info)
-	}
-	if len(info.Center) != 1 || info.Center[0] != 4 {
-		t.Fatalf("center: %v", info.Center)
-	}
-	if len(info.Eccs) != 12 || info.BFSTraversals < 1 || info.Truncated {
-		t.Fatalf("eccs=%v traversals=%d truncated=%v", info.Eccs, info.BFSTraversals, info.Truncated)
 	}
 }

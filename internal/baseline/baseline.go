@@ -2,9 +2,8 @@
 // compares against (§5): iFUB (Crescenzi et al. 2013, serial and parallel)
 // and a Graph-Diameter-style eccentricity-bounding algorithm (Akiba et al.
 // 2015, adapted to undirected graphs where it coincides with the classic
-// Takes–Kosters BoundingDiameters scheme). It also provides Korf's
-// partial-BFS algorithm (2021) and the naive APSP-by-BFS reference, both
-// discussed in the paper's related-work section.
+// Takes–Kosters BoundingDiameters scheme). It also provides the stronger
+// adaptive Takes–Kosters selection and the naive APSP-by-BFS reference.
 //
 // All baselines report the largest eccentricity over all connected
 // components, flag disconnected inputs, count their BFS traversals

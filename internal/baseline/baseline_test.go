@@ -18,7 +18,6 @@ var algos = []algo{
 	{"ifub", IFUB},
 	{"bounding", Bounding},
 	{"takeskosters", TakesKosters},
-	{"korf", Korf},
 	{"naive", Naive},
 }
 
@@ -124,16 +123,6 @@ func TestIFUBTraversalAccounting(t *testing.T) {
 	}
 	if res.BFSTraversals > int64(g.NumVertices()+10) {
 		t.Errorf("traversal count %d exceeds vertex count", res.BFSTraversals)
-	}
-}
-
-func TestKorfMatchesNaiveTraversals(t *testing.T) {
-	g := gen.RandomConnected(80, 40, 3)
-	korf := Korf(g, Options{})
-	naive := Naive(g, Options{})
-	if korf.BFSTraversals != naive.BFSTraversals {
-		t.Errorf("korf traversals %d != naive %d (both should be one per non-isolated vertex)",
-			korf.BFSTraversals, naive.BFSTraversals)
 	}
 }
 

@@ -1,40 +1,18 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"fdiam/internal/baseline"
 	"fdiam/internal/core"
-	"fdiam/internal/ecc"
 	"fdiam/internal/graph"
-	"fdiam/internal/stats"
 )
 
-// Extension experiments beyond the paper's evaluation: the related-work
-// algorithm the paper discusses but does not benchmark (Korf's
-// partial-BFS), naive all-pairs BFS, the stronger Takes–Kosters selection,
-// and the bounded all-eccentricities computation. They document where
-// F-Diam's advantage comes from and what the neighboring design points
-// cost.
-
-// ExtensionCodes returns the additional diameter codes.
-func ExtensionCodes() []Code {
-	return []Code{
-		FDiamPar,
-		{Name: "Takes-Kosters", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
-			return fromBaseline(baseline.TakesKosters(g, baseline.Options{Workers: workers, Timeout: to}))
-		}},
-		{Name: "Korf", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
-			return fromBaseline(baseline.Korf(g, baseline.Options{Workers: workers, Timeout: to}))
-		}},
-		{Name: "Naive APSP-BFS", Run: func(g *graph.Graph, workers int, to time.Duration) Outcome {
-			return fromBaseline(baseline.Naive(g, baseline.Options{Workers: workers, Timeout: to}))
-		}},
-	}
-}
+// Extension experiments beyond the paper's tables: each measures a claim
+// the paper makes in passing (the 2-sweep bound is often very close, the
+// direction-optimized hybrid pays) or the served approximation mode.
 
 // approxSweeps is the double-sweep budget TableApprox gives the estimator:
 // the default fdiamd applies to a ?mode=approx request.
@@ -65,64 +43,6 @@ func TableApprox(w io.Writer, workloads []*Workload, cfg Config) {
 			fmt.Sprintf("%d", approx.Gap), inside,
 			fmt.Sprintf("%d", approx.Stats.BFSTraversals()))
 		wl.Release()
-	}
-	t.Render(w)
-}
-
-// TableExtensions measures the extension codes on every workload: runtime
-// and traversal count per code.
-func TableExtensions(w io.Writer, workloads []*Workload, cfg Config) {
-	codes := ExtensionCodes()
-	header := []string{"graph"}
-	for _, c := range codes {
-		header = append(header, c.Name, "BFS")
-	}
-	t := NewTable("Extension table: related-work algorithms the paper discusses but does not run (runtime s | BFS traversals)", header...)
-	for _, wl := range workloads {
-		g := wl.Graph()
-		cells := []string{wl.Name}
-		for _, c := range codes {
-			m := Measure(c, g, cfg)
-			cells = append(cells,
-				fmtOrTO(m.Runtime.Seconds(), m.TimedOut),
-				fmtCountOrTO(m.Traversals, m.TimedOut))
-		}
-		t.Add(cells...)
-		wl.Release()
-	}
-	t.Render(w)
-}
-
-// TableAllEcc measures the bounded all-eccentricities computation
-// (ecc.FastInfo: diameter, plus radius of the largest component, plus the
-// full distribution) against brute force, reporting the traversal savings.
-// Cancelling ctx stops mid-catalog with the rows rendered so far (a
-// truncated eccentricity run is reported as such).
-func TableAllEcc(ctx context.Context, w io.Writer, workloads []*Workload, cfg Config) {
-	t := NewTable("Extension table: all-vertex eccentricities via bounding (vs n brute-force BFS)",
-		"graph", "vertices", "BFS used", "saving", "diameter", "radius", "time")
-	for _, wl := range workloads {
-		g := wl.Graph()
-		n := g.NumVertices()
-		start := time.Now()
-		info := ecc.FastInfo(ctx, g, cfg.Workers)
-		elapsed := time.Since(start)
-		saving := "n/a"
-		if info.BFSTraversals > 0 {
-			saving = fmt.Sprintf("%.1fx", float64(n)/float64(info.BFSTraversals))
-		}
-		diamCol := fmt.Sprintf("%d", info.Diameter)
-		if info.Truncated {
-			diamCol += " (truncated)"
-		}
-		t.Add(wl.Name, stats.FormatCount(int64(n)),
-			fmt.Sprintf("%d", info.BFSTraversals), saving,
-			diamCol, fmt.Sprintf("%d", info.Radius),
-			elapsed.Round(time.Millisecond).String())
-		wl.Release()
-		if ctx.Err() != nil {
-			break
-		}
 	}
 	t.Render(w)
 }

@@ -95,6 +95,11 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 			forced := New(g, workers)
 			forced.setAlphaBeta(1<<30, 1<<30)
 			forced.setSerialCutoff(0)
+			// A cutoff of n keeps the parallel bottom-up scan but fills
+			// its frontier bitset serially (every frontier is below n).
+			serialFill := New(g, workers)
+			serialFill.setAlphaBeta(1<<30, 1<<30)
+			serialFill.setSerialCutoff(n)
 			srcs := []graph.Vertex{g.MaxDegreeVertex()}
 			for v := 0; v < n; v += step {
 				srcs = append(srcs, graph.Vertex(v))
@@ -109,10 +114,15 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 					t.Errorf("%s workers=%d: forced bottom-up ecc(%d) = %d, top-down says %d",
 						name, workers, src, got, want)
 				}
+				if got := serialFill.Eccentricity(src); got != want {
+					t.Errorf("%s workers=%d: bottom-up with serial frontier fill ecc(%d) = %d, top-down says %d",
+						name, workers, src, got, want)
+				}
 			}
 			ref.Close()
 			adaptive.Close()
 			forced.Close()
+			serialFill.Close()
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fdiam/internal/bitset"
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 	"fdiam/internal/par"
@@ -61,9 +60,9 @@ type Engine struct {
 	// frontier concatenation.
 	catOffs []int
 
-	// front is the current-frontier bitset for parallel bottom-up steps,
-	// allocated on the first direction switch.
-	front *bitset.Set
+	// front is the current-frontier bitset (bit v of word v/64) for
+	// parallel bottom-up steps, allocated on the first direction switch.
+	front []uint64
 	// buCands carries the still-unvisited vertices between consecutive
 	// serial bottom-up levels, so only the first level of a bottom-up run
 	// pays the O(n) scan; later levels scan just the shrinking remainder.
@@ -652,24 +651,25 @@ func (e *Engine) bottomUpSerial(reuseCands bool) {
 func (e *Engine) bottomUpParallel(workers int) {
 	offsets, targets := e.g.Offsets(), e.g.Targets()
 	n := e.g.NumVertices()
-	if e.front == nil || e.front.Len() < n {
-		//fdiamlint:ignore deepalloc grow-once frontier bitset, allocated on first use and reused for the engine's lifetime
-		e.front = bitset.New(n)
+	if words := (n + 63) / 64; len(e.front) < words {
+		//fdiamlint:ignore hotalloc grow-once frontier bitset, allocated on first use and reused for the engine's lifetime
+		e.front = make([]uint64, words)
 	}
-	e.front.Reset()
+	front := e.front
+	clear(front)
 	if workers > 1 && len(e.wl1) >= e.serialCutoff {
-		front := e.front
+		// Frontier vertices of one range may share a word with another
+		// range's, so concurrent setters need the atomic OR.
 		e.parForWorker(len(e.wl1), workers, 0, func(_, lo, hi int) {
 			for _, v := range e.wl1[lo:hi] {
-				front.SetAtomic(int(v))
+				atomic.OrUint64(&front[v>>6], 1<<(v&63))
 			}
 		})
 	} else {
 		for _, v := range e.wl1 {
-			e.front.Set(int(v))
+			front[v>>6] |= 1 << (v & 63)
 		}
 	}
-	words := e.front.Words()
 	for w := 0; w < workers; w++ {
 		e.bufs[w] = e.bufs[w][:0]
 	}
@@ -682,7 +682,7 @@ func (e *Engine) bottomUpParallel(workers int) {
 			}
 			adj := targets[offsets[v]:offsets[v+1]]
 			for _, nb := range adj {
-				if words[nb>>6]&(1<<(uint(nb)&63)) != 0 {
+				if front[nb>>6]&(1<<(nb&63)) != 0 {
 					cnt[v] = epoch
 					buf = append(buf, graph.Vertex(v))
 					break

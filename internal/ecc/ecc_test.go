@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"slices"
 	"testing"
 
 	"fdiam/internal/gen"
@@ -31,23 +32,13 @@ func TestAllOnStar(t *testing.T) {
 	}
 }
 
-func TestComputeInfoPath(t *testing.T) {
-	info := Compute(gen.Path(7), 0)
-	if info.Diameter != 6 || info.Radius != 3 {
-		t.Fatalf("diam=%d radius=%d", info.Diameter, info.Radius)
-	}
-	if len(info.Center) != 1 || info.Center[0] != 3 {
-		t.Fatalf("center = %v, want [3]", info.Center)
-	}
-	if len(info.Periphery) != 2 {
-		t.Fatalf("periphery = %v, want the two endpoints", info.Periphery)
-	}
-}
-
 func TestComputeEmpty(t *testing.T) {
-	info := Compute(graph.NewBuilder(0).Build(), 0)
-	if info.Diameter != 0 || info.Radius != 0 {
-		t.Fatalf("empty: %+v", info)
+	g := graph.NewBuilder(0).Build()
+	if eccs := All(g, 0); len(eccs) != 0 {
+		t.Fatalf("empty: eccs = %v", eccs)
+	}
+	if d := Diameter(g, 0); d != 0 {
+		t.Fatalf("empty: diameter = %d", d)
 	}
 }
 
@@ -73,10 +64,17 @@ func TestTheorem1AdjacentEccsDifferByAtMostOne(t *testing.T) {
 func TestTheorem2AtLeastTwoPeripheralVertices(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := gen.RandomConnected(30+int(seed*11)%100, int(seed*5)%60, seed+100)
-		info := Compute(g, 0)
-		if len(info.Periphery) < 2 {
+		eccs := All(g, 0)
+		diam := slices.Max(eccs)
+		var periphery []graph.Vertex
+		for v, e := range eccs {
+			if e == diam {
+				periphery = append(periphery, graph.Vertex(v))
+			}
+		}
+		if len(periphery) < 2 {
 			t.Fatalf("seed %d: periphery %v has fewer than 2 vertices (Theorem 2 violated)",
-				seed, info.Periphery)
+				seed, periphery)
 		}
 	}
 }
@@ -86,10 +84,10 @@ func TestTheorem2AtLeastTwoPeripheralVertices(t *testing.T) {
 func TestTheorem3RadiusAtLeastHalfDiameter(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := gen.RandomConnected(30+int(seed*9)%100, int(seed*3)%60, seed+200)
-		info := Compute(g, 0)
-		if 2*info.Radius < info.Diameter {
+		eccs := All(g, 0)
+		if radius, diam := slices.Min(eccs), slices.Max(eccs); 2*radius < diam {
 			t.Fatalf("seed %d: radius %d < diameter %d / 2 (Theorem 3 violated)",
-				seed, info.Radius, info.Diameter)
+				seed, radius, diam)
 		}
 	}
 }
@@ -101,8 +99,8 @@ func TestDiameterMatchesComputeAcrossWorkers(t *testing.T) {
 	if d1 != d4 {
 		t.Fatalf("worker counts disagree: %d vs %d", d1, d4)
 	}
-	if d1 != Compute(g, 0).Diameter {
-		t.Fatalf("Diameter and Compute disagree")
+	if d1 != slices.Max(All(g, 0)) {
+		t.Fatalf("Diameter and the largest of All's eccentricities disagree")
 	}
 }
 
