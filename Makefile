@@ -1,7 +1,7 @@
 GO ?= go
 BIN := $(CURDIR)/bin
 
-.PHONY: all build test race lint checked examples bench fuzz-smoke chaos serve fmt clean
+.PHONY: all build test race lint checked examples bench fig7 fuzz-smoke chaos serve fmt clean
 
 all: build test
 
@@ -44,6 +44,14 @@ examples:
 # BENCHMARK.json) on every workload; see perfbench/README.md for its flags.
 bench:
 	python3 perfbench/run.py --workload all
+
+# fig7 runs the paper's Figure 7 thread sweep (workers 1 and 2) over the
+# catalog, the report every change to the parallel layers gives. Not in
+# CI: at SCALE=full it takes minutes.
+SCALE ?= quick
+
+fig7:
+	$(GO) run ./cmd/experiments -run fig7 -scale $(SCALE) -workers 2
 
 fuzz-smoke:
 	$(GO) test -tags fdiam.checked -fuzz=FuzzDiameterMatchesNaive -fuzztime=15s -run='^$$' ./internal/core/

@@ -8,18 +8,16 @@ import (
 )
 
 // AtomicField checks the repo's shared-counter convention: a struct field
-// whose trailing comment starts with the word "atomic" (e.g. the pool
+// whose trailing comment starts with the word "atomic" (e.g. the par
 // job's chunk cursor) is accessed concurrently and must only be touched
-// through sync/atomic (or the CAS helpers in internal/par). Any plain read
-// or write of such a field is a latent data race that -race only catches
-// when a test happens to hit the interleaving; the analyzer catches it on
-// every build.
+// through sync/atomic. Any plain read or write of such a field is a latent
+// data race that -race only catches when a test happens to hit the
+// interleaving; the analyzer catches it on every build.
 //
 // Allowed access forms:
 //
 //	atomic.AddInt64(&j.cursor, d)   // any sync/atomic func taking &field
-//	par.MaxInt32(&s.best, v)        // the par atomic max helpers
-//	poolJob{cursor: 0}              // composite-literal initialization
+//	job{cursor: 0}                  // composite-literal initialization
 //
 // Fields of type atomic.Int64 etc. need no marker: their method set is the
 // only access path. The marker exists for raw int32/int64/uint32 fields
@@ -59,7 +57,7 @@ func runAtomicField(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(sel.Sel.Pos(),
-				"non-atomic access to field %s.%s marked `// atomic`; use sync/atomic (or the par helpers)",
+				"non-atomic access to field %s.%s marked `// atomic`; use sync/atomic",
 				fieldObj.Pkg().Name()+"."+selRecvName(s), fieldObj.Name())
 			return true
 		})
@@ -109,9 +107,8 @@ func atomicMarked(cg *ast.CommentGroup) bool {
 }
 
 // atomicAccessOK reports whether the selector at the top of stack is in an
-// allowed context: `&field` passed directly to a sync/atomic function or an
-// internal/par helper, or a composite-literal value (initialization before
-// the value is shared).
+// allowed context: `&field` passed directly to a sync/atomic function, or a
+// composite-literal value (initialization before the value is shared).
 func atomicAccessOK(pass *Pass, stack []ast.Node) bool {
 	// stack[len-1] is the SelectorExpr itself.
 	if len(stack) >= 3 {
@@ -121,13 +118,12 @@ func atomicAccessOK(pass *Pass, stack []ast.Node) bool {
 			}
 		}
 	}
-	// Struct composite-literal initialization (`poolJob{cursor: 0}`) never
+	// Struct composite-literal initialization (`job{cursor: 0}`) never
 	// reaches here: literal keys are bare idents, not selectors.
 	return false
 }
 
-// atomicCallee reports whether call's callee lives in sync/atomic or in
-// the internal/par package (whose Max helpers are CAS loops).
+// atomicCallee reports whether call's callee lives in sync/atomic.
 func atomicCallee(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -137,9 +133,7 @@ func atomicCallee(pass *Pass, call *ast.CallExpr) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	path := obj.Pkg().Path()
-	return path == "sync/atomic" || path == "fdiam/internal/par" ||
-		strings.HasSuffix(path, "/internal/par")
+	return obj.Pkg().Path() == "sync/atomic"
 }
 
 // selRecvName renders the receiver type name of a field selection for the

@@ -9,7 +9,7 @@ import (
 
 // HotAlloc guards the per-edge and per-level hot paths. A function whose
 // doc comment carries the `//fdiam:hotpath` directive (the BFS expansion
-// kernels, the pool's chunk loop) runs millions of times per diameter
+// kernels, par's chunk loop) runs millions of times per diameter
 // computation; an accidental allocation or clock read there is a
 // regression that benchmarks catch late and reviews miss. The analyzer
 // flags, inside such functions (including nested closures):

@@ -29,3 +29,11 @@ func bad(j *job) {
 	//fdiamlint:ignore atomicfield single-threaded teardown, justified for the fixture
 	j.cursor = 0
 }
+
+// addCursor takes the field's address like an atomic helper would, but it
+// is not sync/atomic, so passing &j.cursor to it is a plain access.
+func addCursor(p *int64, d int64) { *p += d }
+
+func helper(j *job) {
+	addCursor(&j.cursor, 1) // want `non-atomic access to field .*cursor`
+}

@@ -1,5 +1,6 @@
-// Package par stands in for fdiam/internal/par: the pool implementation is
-// the one package allowed to spawn goroutines, so nothing here is flagged.
+// Package par stands in for fdiam/internal/par: the parallel-for
+// implementation is the one package allowed to spawn goroutines, so
+// nothing here is flagged.
 package par
 
 import "sync"

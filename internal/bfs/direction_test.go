@@ -31,7 +31,6 @@ func TestDirectionSwitchesOnPowerLaw(t *testing.T) {
 			t.Errorf("%s: no direction switch from the max-degree vertex (n=%d, m=%d)",
 				c.name, c.g.NumVertices(), c.g.NumArcs())
 		}
-		e.Close()
 	}
 }
 
@@ -52,7 +51,6 @@ func TestNoSwitchesOnHighDiameter(t *testing.T) {
 			t.Errorf("%s: %d direction switches on a thin-frontier graph (bottom-up can only lose here)",
 				c.name, s)
 		}
-		e.Close()
 	}
 }
 
@@ -119,10 +117,6 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 						name, workers, src, got, want)
 				}
 			}
-			ref.Close()
-			adaptive.Close()
-			forced.Close()
-			serialFill.Close()
 		}
 	}
 }
@@ -143,58 +137,12 @@ func TestAlphaBetaExtremesAgree(t *testing.T) {
 				t.Errorf("alpha=%d beta=%d: ecc(%d) = %d, want %d", ab[0], ab[1], v, got, want)
 			}
 		}
-		e.Close()
-	}
-	ref.Close()
-}
-
-func TestSetWorkersKeepsWarmBuffers(t *testing.T) {
-	// Whitebox: shrinking the worker count must keep the warm per-worker
-	// buffers so a later grow reuses them instead of reallocating.
-	g := gen.RMAT(11, 12, gen.DefaultRMAT, 17)
-	e := New(g, 8)
-	e.setSerialCutoff(0) // force the parallel paths so every buffer warms up
-	defer e.Close()
-	want := e.Eccentricity(g.MaxDegreeVertex())
-	// On few-core machines the dispatching caller can drain every chunk
-	// before parked workers wake, so only a prefix of the buffers warms up;
-	// require at least one and track whatever capacity each acquired.
-	warm := make([]int, len(e.bufs))
-	anyWarm := false
-	for i, b := range e.bufs {
-		warm[i] = cap(b)
-		anyWarm = anyWarm || warm[i] > 0
-	}
-	if !anyWarm {
-		t.Fatal("no buffer warmed up (parallel path not taken?)")
-	}
-
-	e.SetWorkers(2)
-	if len(e.bufs) != 8 {
-		t.Fatalf("shrink dropped buffers: len(bufs) = %d, want 8", len(e.bufs))
-	}
-	if got := e.Eccentricity(g.MaxDegreeVertex()); got != want {
-		t.Fatalf("ecc after shrink = %d, want %d", got, want)
-	}
-
-	e.SetWorkers(8)
-	if len(e.bufs) != 8 {
-		t.Fatalf("regrow: len(bufs) = %d, want 8", len(e.bufs))
-	}
-	for i, b := range e.bufs {
-		if cap(b) < warm[i] {
-			t.Errorf("buffer %d lost its warm capacity: %d, had %d", i, cap(b), warm[i])
-		}
-	}
-	if got := e.Eccentricity(g.MaxDegreeVertex()); got != want {
-		t.Fatalf("ecc after regrow = %d, want %d", got, want)
 	}
 }
 
 func TestSwitchCountersAccumulate(t *testing.T) {
 	g := gen.Kronecker(12, 16, 9)
 	e := New(g, 1)
-	defer e.Close()
 	src := g.MaxDegreeVertex()
 	e.Eccentricity(src)
 	first := e.LastTraversalSwitches()
@@ -211,10 +159,6 @@ func TestSwitchCountersAccumulate(t *testing.T) {
 	if got, want := e.DirectionSwitches(), 2*first; got != want {
 		t.Errorf("cumulative = %d, want %d", got, want)
 	}
-	e.ResetCounters()
-	if e.DirectionSwitches() != 0 || e.LastTraversalSwitches() != 0 {
-		t.Error("ResetCounters left switch counters non-zero")
-	}
 }
 
 func TestDisableDirOptNeverSwitches(t *testing.T) {
@@ -228,14 +172,12 @@ func TestDisableDirOptNeverSwitches(t *testing.T) {
 		if s := e.DirectionSwitches(); s != 0 {
 			t.Errorf("graph %d: dirOpt disabled but %d switches recorded", i, s)
 		}
-		e.Close()
 	}
 }
 
 func ExampleEngine_LastTraversalSwitches() {
 	g := gen.Path(100)
 	e := New(g, 1)
-	defer e.Close()
 	e.Eccentricity(0)
 	fmt.Println(e.LastTraversalSwitches())
 	// Output: 0

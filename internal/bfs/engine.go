@@ -1,7 +1,6 @@
 package bfs
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -25,10 +24,9 @@ const (
 )
 
 // Engine executes breadth-first traversals over one graph with reusable
-// buffers and a persistent worker pool. An Engine is not safe for
-// concurrent use: F-Diam issues one traversal at a time and parallelizes
-// *inside* each traversal, which the paper found superior to running
-// multiple BFS concurrently (§4.6).
+// buffers. An Engine is not safe for concurrent use: F-Diam issues one
+// traversal at a time and parallelizes *inside* each traversal, which the
+// paper found superior to running multiple BFS concurrently (§4.6).
 type Engine struct {
 	g *graph.Graph
 	// marks is held by value: the traversal kernels read cnt/epoch through
@@ -37,11 +35,6 @@ type Engine struct {
 	marks Marks
 
 	workers int
-	// pool is the engine-owned persistent worker team, created lazily on
-	// the first parallel step and parked between BFS levels. A cleanup
-	// releases it when the engine is garbage collected; Close releases
-	// it deterministically.
-	pool *par.Pool
 
 	// alpha and beta drive the Beamer-style adaptive direction switch:
 	// go bottom-up when the modeled bottom-up cost undercuts alpha times
@@ -51,7 +44,8 @@ type Engine struct {
 	alpha, beta int
 	// serialCutoff is the frontier size below which even "parallel"
 	// traversals expand serially; tiny frontiers do not amortize the
-	// wake/park handshake (the paper makes the same call for Eliminate).
+	// goroutine spawn and join (the paper makes the same call for
+	// Eliminate).
 	serialCutoff int
 
 	wl1, wl2 []graph.Vertex
@@ -102,8 +96,6 @@ type Engine struct {
 	// for the cheap always-on Stats summary.
 	trace *obs.Run
 
-	// Counter for the paper's Table 3 / §6.3 accounting.
-	fullTraversals int64
 	// reached counts the vertices visited by the most recent traversal,
 	// which lets F-Diam detect disconnected inputs without an extra pass.
 	reached int64
@@ -135,55 +127,26 @@ func New(g *graph.Graph, workers int) *Engine {
 	return e
 }
 
-// ensurePool returns the engine's worker pool, creating it on first use.
-func (e *Engine) ensurePool() *par.Pool {
-	if e.pool == nil {
-		e.pool = par.NewPool()
-		// Release the parked goroutines when the engine is collected;
-		// the cleanup must not capture e or the engine would never be.
-		runtime.AddCleanup(e, func(p *par.Pool) { p.Close() }, e.pool)
-	}
-	return e.pool
-}
-
-// parForWorker dispatches a chunked parallel-for onto the engine's pool.
-// It runs once per BFS level from every parallel kernel, so it is hot-path
+// parForWorker runs a chunked parallel-for for the engine's kernels. It
+// runs once per BFS level from every parallel kernel, so it is hot-path
 // audited itself rather than tainting each caller's deepalloc summary.
 //
 //fdiam:hotpath
 func (e *Engine) parForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
-	//fdiamlint:ignore deepalloc pool dispatch allocates one parked-job header per level (and the pool itself on first use), amortized over the whole frontier
-	e.ensurePool().ForWorker(n, workers, chunk, body)
+	//fdiamlint:ignore deepalloc a dispatched call allocates the body closure, its job and WaitGroup, and workers-1 goroutines once per parallel level, amortized over the whole frontier
+	par.ForWorker(n, workers, chunk, body)
 }
 
-// Close releases the engine's worker pool. The engine remains usable
-// afterwards (further parallel steps spawn goroutines per call); callers
-// that finish a computation should Close to release the parked team
-// deterministically rather than waiting for the garbage collector.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
+// Close is a no-op kept for callers that release an engine when done: the
+// engine holds no goroutines or other resources beyond its memory, since
+// every parallel step joins its workers before returning.
+func (e *Engine) Close() {}
 
 // Graph returns the graph the engine is bound to.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
 // Workers returns the configured parallelism.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetWorkers reconfigures the parallelism for subsequent traversals. The
-// per-worker buffer table only ever grows — shrinking keeps the warm
-// buffers so a later grow reuses them instead of reallocating.
-func (e *Engine) SetWorkers(w int) {
-	if w < 1 {
-		w = par.DefaultWorkers()
-	}
-	e.workers = w
-	for len(e.bufs) < w {
-		e.bufs = append(e.bufs, nil)
-	}
-}
 
 // SetDirectionOptimized enables or disables the bottom-up hybrid for full
 // traversals (enabled by default).
@@ -245,11 +208,6 @@ func (e *Engine) setSerialCutoff(c int) {
 // traversal (including the seeds).
 func (e *Engine) Reached() int64 { return e.reached }
 
-// Traversals returns the number of full traversals (Eccentricity and
-// Distances calls) issued so far; the paper's Table 3 counts these plus
-// Winnow invocations.
-func (e *Engine) Traversals() int64 { return e.fullTraversals }
-
 // DirectionSwitches returns the cumulative number of direction switches
 // (top-down→bottom-up and back) across all traversals.
 func (e *Engine) DirectionSwitches() int64 { return e.switches }
@@ -258,17 +216,6 @@ func (e *Engine) DirectionSwitches() int64 { return e.switches }
 // recent traversal.
 func (e *Engine) LastTraversalSwitches() int64 { return e.lastSwitches }
 
-// ResetCounters clears the traversal and direction-switch counters.
-func (e *Engine) ResetCounters() {
-	e.fullTraversals = 0
-	e.switches = 0
-	e.lastSwitches = 0
-}
-
-// CountTraversal lets callers (e.g. Winnow) add to the traversal count, as
-// the paper counts a Winnow as a BFS traversal (§6.3).
-func (e *Engine) CountTraversal() { e.fullTraversals++ }
-
 // Eccentricity runs a full direction-optimized BFS from src and returns the
 // number of levels minus one, i.e. the eccentricity of src within its
 // connected component (Algorithm 2). The last non-empty frontier — the
@@ -276,7 +223,6 @@ func (e *Engine) CountTraversal() { e.fullTraversals++ }
 // afterwards, which the 2-sweep initialization uses to pick a peripheral
 // vertex.
 func (e *Engine) Eccentricity(src graph.Vertex) int32 {
-	e.fullTraversals++
 	return e.run("ecc", []graph.Vertex{src}, -1, true, nil)
 }
 
@@ -292,7 +238,6 @@ func (e *Engine) LastFrontier() []graph.Vertex { return e.wl1 }
 // its component. Used by the Graph-Diameter-style bounding baseline and by
 // iFUB's fringe construction.
 func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
-	e.fullTraversals++
 	n := e.g.NumVertices()
 	e.parForWorker(n, e.workers, 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -320,16 +265,11 @@ func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
 // levels (maxLevels < 0 means unbounded). After each level, onLevel is
 // invoked with the level number (starting at 1) and the newly visited
 // frontier; the slice is reused, so callers must consume it immediately.
-//
-// parallel selects between the serial loop (Eliminate runs serially, §4.4)
-// and the parallel top-down expansion (large-ring region extensions).
-func (e *Engine) Partial(seeds []graph.Vertex, maxLevels int32, parallel bool,
+// Expansion is serial whatever the engine's worker count: Eliminate's
+// worklists are typically tiny (§4.4).
+func (e *Engine) Partial(seeds []graph.Vertex, maxLevels int32,
 	onLevel func(level int32, frontier []graph.Vertex)) int32 {
-	workers := e.workers
-	if !parallel {
-		workers = 1
-	}
-	return e.runWith("partial", seeds, maxLevels, false, workers, onLevel)
+	return e.runWith("partial", seeds, maxLevels, false, 1, onLevel)
 }
 
 // run executes the traversal with the engine's configured worker count.

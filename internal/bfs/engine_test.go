@@ -8,6 +8,7 @@ import (
 
 	"fdiam/internal/gen"
 	"fdiam/internal/graph"
+	"fdiam/internal/obs"
 )
 
 // refDistances is an independent, dead-simple reference BFS.
@@ -140,7 +141,7 @@ func TestPartialLevels(t *testing.T) {
 	e := New(g, 1)
 	var levels []int32
 	var sizes []int
-	got := e.Partial([]graph.Vertex{0}, 5, false, func(level int32, frontier []graph.Vertex) {
+	got := e.Partial([]graph.Vertex{0}, 5, func(level int32, frontier []graph.Vertex) {
 		levels = append(levels, level)
 		sizes = append(sizes, len(frontier))
 	})
@@ -160,7 +161,7 @@ func TestPartialMultiSource(t *testing.T) {
 	// Seeds at both ends: level k visits vertices k and 20−k; the two
 	// waves meet in the middle at level 10.
 	reached := map[graph.Vertex]int32{}
-	levels := e.Partial([]graph.Vertex{0, 20}, -1, false, func(level int32, frontier []graph.Vertex) {
+	levels := e.Partial([]graph.Vertex{0, 20}, -1, func(level int32, frontier []graph.Vertex) {
 		for _, v := range frontier {
 			reached[v] = level
 		}
@@ -183,7 +184,7 @@ func TestPartialSeedsDeduplicated(t *testing.T) {
 	g := gen.Path(10)
 	e := New(g, 1)
 	count := 0
-	e.Partial([]graph.Vertex{3, 3, 3}, 1, false, func(level int32, frontier []graph.Vertex) {
+	e.Partial([]graph.Vertex{3, 3, 3}, 1, func(level int32, frontier []graph.Vertex) {
 		count += len(frontier)
 	})
 	if count != 2 { // neighbors 2 and 4
@@ -231,33 +232,11 @@ func TestDirectionOptToggle(t *testing.T) {
 	}
 }
 
-func TestTraversalCounter(t *testing.T) {
-	g := gen.Path(10)
-	e := New(g, 1)
-	e.Eccentricity(0)
-	e.Eccentricity(5)
-	dist := make([]int32, 10)
-	e.Distances(3, dist)
-	if e.Traversals() != 3 {
-		t.Errorf("traversals = %d, want 3", e.Traversals())
-	}
-	e.CountTraversal()
-	if e.Traversals() != 4 {
-		t.Errorf("traversals = %d, want 4", e.Traversals())
-	}
-	e.ResetCounters()
-	if e.Traversals() != 0 {
-		t.Errorf("traversals after reset = %d", e.Traversals())
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
+func TestWorkerCountsAgree(t *testing.T) {
 	g := gen.RandomConnected(400, 400, 11)
-	e := New(g, 1)
-	want := e.Eccentricity(7)
+	want := New(g, 1).Eccentricity(7)
 	for _, w := range []int{2, 8, 16} {
-		e.SetWorkers(w)
-		if got := e.Eccentricity(7); got != want {
+		if got := New(g, w).Eccentricity(7); got != want {
 			t.Errorf("workers=%d: ecc %d, want %d", w, got, want)
 		}
 	}
@@ -365,27 +344,29 @@ func TestGraphAccessor(t *testing.T) {
 	}
 }
 
-// TestParallelEngineIsCollected pins that a dropped engine whose pool has
-// dispatched can be garbage collected. The pool's last job must not keep
-// the body closure (and through it the engine) alive: the engine's
-// cleanup holds the pool, so such a reference would pin both forever and
-// leak every parallel solve's buffers and parked workers.
+// TestParallelEngineIsCollected pins that a dropped engine whose levels
+// were dispatched in parallel can be garbage collected: no worker
+// goroutine or job outlives its call holding the body closure (and
+// through it the engine), which would leak every parallel solve's
+// buffers.
 func TestParallelEngineIsCollected(t *testing.T) {
+	dispatches := obs.Default().Counter("fdiam_par_pool_dispatches_total", "")
+	before := dispatches.Value()
 	wp := func() weak.Pointer[Engine] {
 		e := New(gen.Grid2D(40, 40), 2)
-		e.setSerialCutoff(1) // every level dispatches onto the pool
+		e.setSerialCutoff(1) // every level dispatches in parallel
 		if got := e.Eccentricity(0); got != 78 {
 			t.Fatalf("ecc(0) = %d, want 78", got)
 		}
-		if e.pool == nil {
-			t.Fatal("traversal never dispatched onto the pool")
-		}
 		return weak.Make(e)
 	}()
+	if dispatches.Value() == before {
+		t.Fatal("traversal never dispatched in parallel")
+	}
 	for i := 0; i < 10 && wp.Value() != nil; i++ {
 		runtime.GC()
 	}
 	if wp.Value() != nil {
-		t.Fatal("engine still reachable after GC: the pool pins its last job")
+		t.Fatal("engine still reachable after GC: a dispatch pins its body")
 	}
 }

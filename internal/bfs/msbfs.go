@@ -28,8 +28,8 @@ import (
 //     whose seen word already holds every live lane is skipped, and a
 //     gather stops as soon as no live lane is missing: the bit-parallel
 //     analogue of bottom-up early exit. Cost ≤ (n + m)/workers of mostly
-//     sequential reads; runs inline at Workers = 1 and under the worker
-//     pool otherwise, race-free because vertex v's words are written only
+//     sequential reads; runs inline at Workers = 1 and across the worker
+//     team otherwise, race-free because vertex v's words are written only
 //     by v's range owner.
 //
 // A per-level cost model picks the cheaper one (see msPushCost). All
@@ -105,7 +105,6 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 	if len(sources) > 64 {
 		panic("bfs: MultiSourceRun batch exceeds 64 sources")
 	}
-	e.fullTraversals += int64(len(sources))
 	e.aborted = false
 	n := e.g.NumVertices()
 	ms := &e.ms
@@ -320,7 +319,7 @@ func (e *Engine) msPush() uint64 {
 }
 
 // msPull is the gather kernel: every vertex gathers the frontier words of
-// its neighbors, inline at Workers = 1 and under the worker pool
+// its neighbors, inline at Workers = 1 and across the worker team
 // otherwise. live is the union of the frontier words, so a vertex whose
 // seen word covers it can gain nothing and is skipped, and a gather stops
 // once the accumulated word and seen together cover it. Race-free by
@@ -397,8 +396,8 @@ func (e *Engine) msPull(live uint64) uint64 {
 // msSwapFrontier retires the old frontier and installs the new one: clear
 // the old active list's frontier words, then move next into frontier over
 // the new list (zeroing next, restoring the between-level invariant). Both
-// passes touch distinct vertices, so they parallelize under the pool when
-// large — the commit work runs alongside the gather step's worker team
+// passes touch distinct vertices, so they parallelize across the workers
+// when large — the commit work runs alongside the gather step's worker team
 // instead of serially.
 //
 //fdiam:hotpath

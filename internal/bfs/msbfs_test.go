@@ -14,7 +14,6 @@ import (
 // their eccentricities, parallel to sources.
 func msEccs(g *graph.Graph, sources []graph.Vertex, workers int) []int32 {
 	e := New(g, workers)
-	defer e.Close()
 	eccs := make([]int32, 0, len(sources))
 	for base := 0; base < len(sources); base += 64 {
 		eccs = append(eccs, e.MultiSourceRun(sources[base:min(base+64, len(sources))]).Ecc...)
@@ -322,7 +321,6 @@ func TestMultiSourceRunPullKernelAgrees(t *testing.T) {
 			e := New(c.g, workers)
 			e.setSerialCutoff(0)
 			b, levels := tracedRun(t, e, c.sources)
-			e.Close()
 			if c.name == "star" && len(levels["ms-pull-serial"])+len(levels["ms-pull-parallel"]) == 0 {
 				t.Fatalf("%s workers=%d: no pull level (%v)", c.name, workers, levels)
 			}
@@ -477,7 +475,6 @@ func FuzzMultiSourceMatchesSingleSource(f *testing.F) {
 				}
 			})
 			check(c.name+" cancelled", e.MultiSourceRun(sources))
-			e.Close()
 		}
 	})
 }

@@ -27,11 +27,6 @@ import (
 // Capping at the lane count is the natural break-even.
 const batchMaxBound = 64
 
-// batchEliminateSeedCutoff is the seed-set size from which the
-// multi-source extend-eliminated pass expands its partial BFS under the
-// worker pool instead of serially (mirrors the engine's serial cutoff).
-const batchEliminateSeedCutoff = 1024
-
 // Cost-model parameters (DESIGN.md §11).
 const (
 	// batchMinActive is the remaining-active-vertex floor below which the

@@ -94,7 +94,6 @@ func assertWitnessRealizes(t *testing.T, label string, g *graph.Graph, res Resul
 		return // edgeless graphs carry no witness pair
 	}
 	e := bfs.New(g, 1)
-	defer e.Close()
 	dist := make([]int32, g.NumVertices())
 	e.Distances(res.WitnessA, dist)
 	if dist[res.WitnessB] != res.Diameter {

@@ -28,18 +28,6 @@ import (
 // exhausted everything reachable from the seed set (or was cancelled);
 // the returned ring slice is freshly allocated and owned by the caller.
 func (s *solver) eliminateFrom(seeds []graph.Vertex, startVal, limit int32, attr Stage) (ring []graph.Vertex, levels int32) {
-	return s.eliminateFromPar(seeds, startVal, limit, attr, false)
-}
-
-// eliminateFromPar is eliminateFrom with the frontier expansion optionally
-// running under the BFS worker pool. The per-level commit (counters, state
-// writes, ring rebuild) stays serial either way — only the partial BFS's
-// neighbor scan parallelizes — and a level's vertex set is independent of
-// expansion order, so the parallel variant removes exactly the same
-// vertices with exactly the same recorded bounds. extendEliminated uses it
-// for large seed rings (the multi-source extension pass of §4.5), where
-// the seed set alone can span a large fraction of the graph.
-func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, attr Stage, parallel bool) (ring []graph.Vertex, levels int32) {
 	if startVal >= limit || len(seeds) == 0 {
 		return nil, 0
 	}
@@ -53,7 +41,7 @@ func (s *solver) eliminateFromPar(seeds []graph.Vertex, startVal, limit int32, a
 		tr.Begin("stage", "eliminate",
 			obs.I("seeds", int64(len(seeds))), obs.I("radius", int64(limit-startVal)))
 	}
-	levels = s.e.Partial(seeds, limit-startVal, parallel, func(level int32, frontier []graph.Vertex) {
+	levels = s.e.Partial(seeds, limit-startVal, func(level int32, frontier []graph.Vertex) {
 		if checkedBuild {
 			s.checkEliminateLevel(checkDist, level, frontier, startVal, limit)
 		}
@@ -96,8 +84,5 @@ func (s *solver) extendEliminated(old int32) {
 			seeds = append(seeds, graph.Vertex(v))
 		}
 	}
-	// Large seed rings expand under the worker pool: the extension pass is
-	// the one Eliminate whose worklists are not typically tiny.
-	parallel := s.e.Workers() > 1 && len(seeds) >= batchEliminateSeedCutoff
-	s.eliminateFromPar(seeds, old, s.bound, StageEliminate, parallel)
+	s.eliminateFrom(seeds, old, s.bound, StageEliminate)
 }

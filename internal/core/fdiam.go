@@ -216,10 +216,6 @@ func (s *solver) corridorClosed() bool {
 }
 
 func (s *solver) run() Result {
-	// Park-released worker goroutines belong to this run's engine;
-	// release them when the computation finishes rather than waiting for
-	// the garbage collector.
-	defer s.e.Close()
 	tStart := time.Now()
 	s.t0 = tStart
 

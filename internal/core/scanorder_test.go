@@ -23,7 +23,6 @@ func TestSweepPartnerIsLowestIDOfLastLevel(t *testing.T) {
 		{A: 1, B: 8}, {A: 2, B: 7}, {A: 3, B: 6}, {A: 4, B: 5},
 	})
 	e := bfs.New(g, 1)
-	defer e.Close()
 	e.Eccentricity(0)
 	last := slices.Clone(e.LastFrontier())
 	if len(last) != 4 || last[0] == 5 {

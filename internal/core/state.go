@@ -93,7 +93,11 @@ func (s Stage) String() string {
 func (s *solver) initVertexState(n, workers int) {
 	s.ecc = make([]int32, n)
 	s.stage = make([]Stage, n)
-	par.For(n, workers, 0, func(i int) { s.ecc[i] = Active })
+	par.ForWorker(n, workers, 0, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.ecc[i] = Active
+		}
+	})
 }
 
 // markIsolated records a degree-0 vertex: eccentricity exactly 0, no BFS

@@ -288,15 +288,15 @@ func TestExtendEliminatedGrowsRegions(t *testing.T) {
 	}
 }
 
-// TestExtendEliminatedParallelMatchesSerial pins the parallel expansion of
-// the multi-source extension pass against the serial one on a seed ring
-// large enough for extendEliminated to pick the parallel path: identical
-// recorded bounds, outermost ring, level count and Eliminate counters.
+// TestExtendEliminatedParallelMatchesSerial pins the multi-source
+// extension pass on a 1100-vertex seed ring: it expands serially at every
+// worker count, so a Workers=2 solver records exactly the bounds, ring,
+// level count and Eliminate counters that a Workers=1 solver does.
 func TestExtendEliminatedParallelMatchesSerial(t *testing.T) {
 	const cols, rows = 40, 1100
 	g := gen.Grid2D(cols, rows) // vertex y*cols + x
-	run := func(parallel bool) (*solver, []graph.Vertex, int32) {
-		s := prepSolver(g, Options{Workers: 2})
+	run := func(workers int) (*solver, []graph.Vertex, int32) {
+		s := prepSolver(g, Options{Workers: workers})
 		s.bound = 10
 		// An eliminated region two columns wide along the left edge: its
 		// outermost ring, column 2, records the old bound 10.
@@ -313,29 +313,46 @@ func TestExtendEliminatedParallelMatchesSerial(t *testing.T) {
 				seeds = append(seeds, graph.Vertex(v))
 			}
 		}
-		if len(seeds) != rows || len(seeds) < batchEliminateSeedCutoff {
-			t.Fatalf("ring has %d seeds, want %d (≥ %d)", len(seeds), rows, batchEliminateSeedCutoff)
+		if len(seeds) != rows {
+			t.Fatalf("ring has %d seeds, want %d", len(seeds), rows)
 		}
-		ring, levels := s.eliminateFromPar(seeds, 10, s.bound, StageEliminate, parallel)
+		ring, levels := s.eliminateFrom(seeds, 10, s.bound, StageEliminate)
 		slices.Sort(ring)
 		return s, ring, levels
 	}
-	ser, serRing, serLevels := run(false)
-	pll, parRing, parLevels := run(true)
+	ser, serRing, serLevels := run(1)
+	// Six levels from column 2 reach column 8, whose vertices form the
+	// new ring; column x records the bound 8 + x.
+	if serLevels != 6 || len(serRing) != rows {
+		t.Fatalf("levels %d, ring %d vertices; want 6 and %d", serLevels, len(serRing), rows)
+	}
+	for y := 0; y < rows; y++ {
+		if v := serRing[y]; v != graph.Vertex(y*cols+8) {
+			t.Fatalf("ring[%d] = %d, want column 8 vertex %d", y, v, y*cols+8)
+		}
+		for x := 1; x < cols; x++ {
+			want := int32(8 + x)
+			if x > 8 {
+				want = Active
+			}
+			if got := ser.ecc[y*cols+x]; got != want {
+				t.Fatalf("vertex (%d,%d) records %d, want %d", x, y, got, want)
+			}
+		}
+	}
+	pll, parRing, parLevels := run(2)
 	if !slices.Equal(ser.ecc, pll.ecc) {
-		t.Error("recorded bounds differ between serial and parallel expansion")
+		t.Error("recorded bounds differ between Workers=1 and Workers=2")
 	}
-	if !slices.Equal(serRing, parRing) || len(serRing) != rows {
-		t.Errorf("rings differ: serial %d vertices, parallel %d, want %d", len(serRing), len(parRing), rows)
+	if !slices.Equal(serRing, parRing) || serLevels != parLevels {
+		t.Errorf("Workers=2: ring %d vertices, %d levels; Workers=1: %d, %d",
+			len(parRing), parLevels, len(serRing), serLevels)
 	}
-	if serLevels != parLevels || serLevels != 6 {
-		t.Errorf("levels: serial %d, parallel %d, want 6", serLevels, parLevels)
-	}
-	if ser.stats.RemovedEliminate != pll.stats.RemovedEliminate {
-		t.Errorf("RemovedEliminate: serial %d, parallel %d", ser.stats.RemovedEliminate, pll.stats.RemovedEliminate)
-	}
-	if ser.stats.EliminateVisited != pll.stats.EliminateVisited {
-		t.Errorf("EliminateVisited: serial %d, parallel %d", ser.stats.EliminateVisited, pll.stats.EliminateVisited)
+	if ser.stats.RemovedEliminate != pll.stats.RemovedEliminate ||
+		ser.stats.EliminateVisited != pll.stats.EliminateVisited {
+		t.Errorf("Eliminate counters: Workers=1 %d/%d, Workers=2 %d/%d",
+			ser.stats.RemovedEliminate, ser.stats.EliminateVisited,
+			pll.stats.RemovedEliminate, pll.stats.EliminateVisited)
 	}
 }
 

@@ -315,7 +315,7 @@ func TestRunPopulatesRegistry(t *testing.T) {
 		for _, name := range []string{
 			"fdiam_bfs_traversals_total", "fdiam_bfs_dir_switches_total",
 			"fdiam_bound_improvements_total",
-			"fdiam_par_pool_dispatches_total", "fdiam_par_workers_parked",
+			"fdiam_par_pool_dispatches_total", "fdiam_par_workers_busy",
 		} {
 			if _, ok := ms[name]; !ok {
 				t.Errorf("default registry missing %q", name)

@@ -1,70 +1,96 @@
 // Package par provides the small parallel runtime used by the BFS engine
-// and the experiment harness: a chunked parallel-for with dynamic load
-// balancing, backed by a persistent worker pool.
+// and the brute-force eccentricity oracle: a chunked parallel-for with
+// dynamic load balancing.
 //
 // The design mirrors what the paper's OpenMP code gets from
 // `#pragma omp parallel for schedule(dynamic, chunk)`: each worker
 // repeatedly claims a contiguous chunk of the index space via an atomic
 // counter, which balances irregular per-vertex work (skewed degrees)
-// without per-element synchronization. Like OpenMP's persistent thread
-// team, workers are started once and parked between calls (see Pool);
-// the free functions below dispatch onto a lazily created process-wide
-// pool, and fall back to spawning fresh goroutines when that pool is
-// busy (nested or concurrent parallel-for).
+// without per-element synchronization. Each call owns its team: it spawns
+// workers−1 goroutines, runs as worker 0 itself, and waits for the rest,
+// so nested and concurrent calls need no coordination (DESIGN.md §6).
 package par
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
 // DefaultWorkers returns the default parallelism, the number of usable CPUs.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// For runs body(i) for every i in [0, n) using the given number of workers
-// and dynamic chunking. workers <= 1 runs inline. chunk <= 0 picks a chunk
+// job is one parallel-for call, shared by its participants.
+type job struct {
+	n, chunk int
+	body     func(worker, lo, hi int)
+	cursor   int64 // atomic chunk cursor
+	wg       sync.WaitGroup
+}
+
+// ForWorker runs body(worker, lo, hi) over disjoint chunks covering [0, n)
+// with worker ids in [0, workers), so workers can own private output
+// buffers; the same worker id may process many chunks. workers <= 1 or
+// n == 1 runs inline on the caller with id 0. chunk <= 0 picks a chunk
 // size that yields ~64 chunks per worker, clamped to [1, 4096].
-func For(n, workers, chunk int, body func(i int)) {
-	sharedPool().For(n, workers, chunk, body)
-}
-
-// ForRange runs body(lo, hi) over disjoint chunks covering [0, n).
-// Chunk-granular hand-off lets bodies keep per-chunk locals (e.g. frontier
-// output buffers) without per-element overhead.
-func ForRange(n, workers, chunk int, body func(lo, hi int)) {
-	sharedPool().ForRange(n, workers, chunk, body)
-}
-
-// ForWorker is like ForRange but also passes the worker id in [0, workers)
-// to the body, so workers can own private output buffers. The same worker id
-// may process many chunks. workers <= 1 runs inline with id 0.
 func ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
-	sharedPool().ForWorker(n, workers, chunk, body)
+	if n <= 0 {
+		return
+	}
+	if workers <= 1 || n == 1 {
+		cInlineRuns.Inc()
+		body(0, 0, n)
+		return
+	}
+	workers, chunk = normalize(n, workers, chunk)
+	j := &job{n: n, chunk: chunk, body: body}
+	cDispatches.Inc()
+	gWorkersBusy.Add(int64(workers))
+	j.wg.Add(workers - 1)
+	for id := 1; id < workers; id++ {
+		go func() {
+			defer j.wg.Done()
+			runChunks(j, id)
+		}()
+	}
+	runChunks(j, 0)
+	waitStart := hDispatchWait.StartTimer()
+	j.wg.Wait()
+	hDispatchWait.ObserveSince(waitStart)
+	gWorkersBusy.Add(int64(-workers))
 }
 
-// MaxInt32 atomically raises *addr to v if v is larger and returns the new
-// maximum. Used for parallel reductions of eccentricity candidates.
-func MaxInt32(addr *int32, v int32) int32 {
+// runChunks drains the job's chunk cursor as the given participant.
+//
+//fdiam:hotpath
+func runChunks(j *job, id int) {
 	for {
-		cur := atomic.LoadInt32(addr)
-		if v <= cur {
-			return cur
+		lo := int(atomic.AddInt64(&j.cursor, int64(j.chunk))) - j.chunk
+		if lo >= j.n {
+			return
 		}
-		if atomic.CompareAndSwapInt32(addr, cur, v) {
-			return v
+		hi := lo + j.chunk
+		if hi > j.n {
+			hi = j.n
 		}
+		j.body(id, lo, hi)
 	}
 }
 
-// MaxInt64 atomically raises *addr to v if v is larger.
-func MaxInt64(addr *int64, v int64) int64 {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v <= cur {
-			return cur
+// normalize clamps the worker count to n and picks the default chunk size
+// (~64 chunks per worker, clamped to [1, 4096]) when chunk <= 0.
+func normalize(n, workers, chunk int) (int, int) {
+	if workers > n {
+		workers = n
+	}
+	if chunk <= 0 {
+		chunk = n / (workers * 64)
+		if chunk < 1 {
+			chunk = 1
 		}
-		if atomic.CompareAndSwapInt64(addr, cur, v) {
-			return v
+		if chunk > 4096 {
+			chunk = 4096
 		}
 	}
+	return workers, chunk
 }
