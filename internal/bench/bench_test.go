@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -238,6 +239,38 @@ func TestFig7ThreadSweepTiny(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "Figure 7") || !strings.Contains(out, "threads") {
 		t.Errorf("fig7 output malformed:\n%s", out)
+	}
+}
+
+// TestFig7HoldsOneGraphAtATime: the thread sweep must release each graph
+// after its last thread count, so a full-scale sweep never caches more
+// than the graph it is measuring.
+func TestFig7HoldsOneGraphAtATime(t *testing.T) {
+	wls := tinyCatalog(t)
+	held := 0
+	for _, wl := range wls {
+		build := wl.Build
+		wl.Build = func() *graph.Graph {
+			cached := 1 // the graph being built
+			for _, other := range wls {
+				if other.graph != nil {
+					cached++
+				}
+			}
+			held = max(held, cached)
+			return build()
+		}
+	}
+	cfg := quickCfg()
+	cfg.Workers = 2
+	Fig7(io.Discard, wls, cfg)
+	if held > 1 {
+		t.Fatalf("fig7 held %d cached graphs at once, want 1", held)
+	}
+	for _, wl := range wls {
+		if wl.graph != nil {
+			t.Errorf("%s: graph still cached after the sweep", wl.Name)
+		}
 	}
 }
 

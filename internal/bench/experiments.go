@@ -235,18 +235,23 @@ func Fig7(w io.Writer, workloads []*Workload, cfg Config) {
 
 	t := NewTable("Figure 7: geomean F-Diam throughput (vertices/s) by thread count",
 		"threads", "geomean throughput", "speedup vs 1 thread")
-	var base float64
-	for _, tc := range threadCounts {
-		var tps []float64
-		for _, wl := range workloads {
-			g := wl.Graph()
+	// Workloads run outermost, each released after its last thread count,
+	// so a full-scale sweep holds one graph at a time.
+	tps := make([][]float64, len(threadCounts))
+	for _, wl := range workloads {
+		g := wl.Graph()
+		for i, tc := range threadCounts {
 			c := Config{Runs: cfg.Runs, Timeout: cfg.Timeout, Workers: tc}
 			m := Measure(FDiamPar, g, c)
 			if !m.TimedOut && m.Throughput > 0 {
-				tps = append(tps, m.Throughput)
+				tps[i] = append(tps[i], m.Throughput)
 			}
 		}
-		gm := stats.GeoMean(tps)
+		wl.Release()
+	}
+	var base float64
+	for i, tc := range threadCounts {
+		gm := stats.GeoMean(tps[i])
 		if base == 0 {
 			base = gm
 		}
@@ -255,9 +260,6 @@ func Fig7(w io.Writer, workloads []*Workload, cfg Config) {
 			speedup = fmt.Sprintf("%.2fx", gm/base)
 		}
 		t.Add(fmt.Sprintf("%d", tc), stats.FormatThroughput(gm), speedup)
-	}
-	for _, wl := range workloads {
-		wl.Release()
 	}
 	t.Render(w)
 }

@@ -235,8 +235,9 @@ func (e *Engine) LastFrontier() []graph.Vertex { return e.wl1 }
 // Distances runs a full BFS from src and writes the hop distance of every
 // reached vertex into dist, which must have length n. Unreached vertices
 // (other components) are set to -1. Returns the eccentricity of src within
-// its component. Used by the Graph-Diameter-style bounding baseline and by
-// iFUB's fringe construction.
+// its component. Used by the solver's 2-sweep and centre step, whose
+// distance arrays Winnow and the survivor scan read, by a resumed solve to
+// rebuild the start's distances, and by the bounding and iFUB baselines.
 func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
 	n := e.g.NumVertices()
 	e.parForWorker(n, e.workers, 0, func(_, lo, hi int) {

@@ -2,8 +2,9 @@
 //
 // A Snapshot is everything the solver needs to resume a solve at a
 // main-loop boundary: the current bound and witness pair, the per-vertex
-// state and stage arrays, the winnow radius, the chain-hub rings, and the Stats counters — the monotone accumulation state whose
-// loss makes an hours-long solve start over. Snapshots are serialized in a
+// state and stage arrays, the winnow radius, and the Stats counters — the
+// monotone accumulation state whose loss makes an hours-long solve start
+// over. Snapshots are serialized in a
 // versioned little-endian binary format guarded by a CRC-32 of the whole
 // payload and bound to their input by a SHA-256 of the graph's CSR arrays;
 // Write is atomic (temp file + rename into place), so a crash mid-write
@@ -21,7 +22,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"fdiam/internal/graph"
@@ -41,8 +41,9 @@ const magic = "FDIAMCK1"
 // dropped NextVertex, because the main loop resumes from the restored
 // Active set rather than a vertex index; v4 dropped WinnowFrontier,
 // because Winnow extends its ball from the start's distances, which resume
-// recomputes.
-const version = 4
+// recomputes; v5 dropped the chain-hub maps, because Chain Processing runs
+// only before the main loop, where no snapshot is ever taken.
+const version = 5
 
 // FileName is the canonical snapshot name inside a checkpoint directory.
 // One solve owns one directory; Write replaces the file atomically, so the
@@ -141,10 +142,6 @@ type Snapshot struct {
 	// grows past it.
 	WinnowDepth int32
 
-	// ChainDone/ChainRing is the per-hub chain-elimination bookkeeping.
-	ChainDone map[uint32]int32
-	ChainRing map[uint32][]uint32
-
 	Counters Counters
 }
 
@@ -189,11 +186,7 @@ func GraphHash(g *graph.Graph) [32]byte {
 // encode serializes the payload (everything the CRC covers).
 func (s *Snapshot) encode() []byte {
 	n := len(s.Ecc)
-	size := 4 + 32 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 17*8 + 8 + 5*n +
-		8 + 8*len(s.ChainDone) + 8
-	for _, ring := range s.ChainRing {
-		size += 12 + 4*len(ring)
-	}
+	size := 4 + 32 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 17*8 + 8 + 5*n
 	buf := bytes.NewBuffer(make([]byte, 0, size))
 	le := binary.LittleEndian
 
@@ -235,33 +228,6 @@ func (s *Snapshot) encode() []byte {
 	}
 	buf.Write(s.Stage)
 
-	// Maps serialize in sorted key order so identical state produces
-	// byte-identical snapshots (stable CRCs make chaos-test diffing sane).
-	doneKeys := make([]uint32, 0, len(s.ChainDone))
-	for k := range s.ChainDone {
-		doneKeys = append(doneKeys, k)
-	}
-	sort.Slice(doneKeys, func(i, j int) bool { return doneKeys[i] < doneKeys[j] })
-	u64(uint64(len(doneKeys)))
-	for _, k := range doneKeys {
-		u32(k)
-		i32(s.ChainDone[k])
-	}
-
-	ringKeys := make([]uint32, 0, len(s.ChainRing))
-	for k := range s.ChainRing {
-		ringKeys = append(ringKeys, k)
-	}
-	sort.Slice(ringKeys, func(i, j int) bool { return ringKeys[i] < ringKeys[j] })
-	u64(uint64(len(ringKeys)))
-	for _, k := range ringKeys {
-		u32(k)
-		ring := s.ChainRing[k]
-		u64(uint64(len(ring)))
-		for _, v := range ring {
-			u32(v)
-		}
-	}
 	return buf.Bytes()
 }
 
@@ -350,32 +316,6 @@ func decode(payload []byte) (*Snapshot, error) {
 			s.Ecc[i] = d.i32()
 		}
 		s.Stage = append([]uint8(nil), d.take(n)...)
-	}
-
-	dl := d.length(8)
-	if d.err == nil {
-		s.ChainDone = make(map[uint32]int32, dl)
-		for i := 0; i < dl && d.err == nil; i++ {
-			k := d.u32()
-			s.ChainDone[k] = d.i32()
-		}
-	}
-
-	rl := d.length(12)
-	if d.err == nil {
-		s.ChainRing = make(map[uint32][]uint32, rl)
-		for i := 0; i < rl && d.err == nil; i++ {
-			k := d.u32()
-			rn := d.length(4)
-			if d.err != nil {
-				break
-			}
-			ring := make([]uint32, rn)
-			for j := range ring {
-				ring[j] = d.u32()
-			}
-			s.ChainRing[k] = ring
-		}
 	}
 
 	if d.err != nil {
@@ -560,21 +500,6 @@ func (s *Snapshot) Validate(g *graph.Graph) error {
 		if chk.have != chk.want {
 			return fmt.Errorf("%w: counter %s=%d but %d vertices attributed",
 				ErrCorrupt, chk.name, chk.have, chk.want)
-		}
-	}
-	for k := range s.ChainDone {
-		if !inRange(k) {
-			return fmt.Errorf("%w: chain hub %d out of range", ErrCorrupt, k)
-		}
-	}
-	for k, ring := range s.ChainRing {
-		if !inRange(k) {
-			return fmt.Errorf("%w: chain hub %d out of range", ErrCorrupt, k)
-		}
-		for _, v := range ring {
-			if !inRange(v) {
-				return fmt.Errorf("%w: chain ring vertex %d out of range", ErrCorrupt, v)
-			}
 		}
 	}
 	return nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"fdiam/internal/graph"
 	"fdiam/internal/obs"
 )
@@ -10,8 +8,8 @@ import (
 // This file implements sampled approximation mode (Options.Approx): a
 // budgeted multi-double-sweep estimator in the spirit of
 // Magnien–Latapy–Habib, whose corridors are empirically tight after a
-// handful of traversals. Each sweep is the exact solver's 2-sweep machinery
-// verbatim — an eccentricity BFS from a source, then one from the farthest
+// handful of traversals. Each sweep is the exact solver's 2-sweep step
+// (sweep) — an eccentricity BFS from a source, then one from the farthest
 // vertex it found — with every bound routed through raiseLB/capUB, so the
 // corridor is sound by the same arguments as the exact run: the lower bound
 // is realized by a witness pair, and ub ≤ min(2·ecc(src), n−1) holds on
@@ -37,10 +35,7 @@ func splitmix64(state *uint64) uint64 {
 // ablation); later sweeps start from sampled non-isolated vertices,
 // preferring ones no earlier sweep computed. The estimator stops early when
 // the corridor collapses to gap ≤ max(Epsilon, 0) or the run is cancelled.
-// Returns the connectivity verdict, decided by the first completed BFS
-// exactly as in the exact run.
-func (s *solver) approxRun(firstNonIsolated int) bool {
-	n := s.g.NumVertices()
+func (s *solver) approxRun(firstNonIsolated int) {
 	tr := s.opt.Trace
 	s.beginStage("approx", obs.I("sweeps", int64(s.opt.Approx.Sweeps)))
 	defer func() {
@@ -58,45 +53,15 @@ func (s *solver) approxRun(firstNonIsolated int) bool {
 		s.start = s.g.MaxDegreeVertex()
 	}
 
-	infinite := false
-	firstBFS := true
-
-	// leg runs one eccentricity BFS and folds it into the corridor,
-	// reporting the farthest vertex found and whether the run may continue
-	// (false on cancellation, including an aborted traversal — whose
-	// truncated level count still lower-bounds the eccentricity and is
-	// kept, never recorded as exact).
+	// leg is one sweep with its corridor published, reporting the farthest
+	// vertex found and whether the run may continue (false on cancellation,
+	// including an aborted traversal).
 	leg := func(src graph.Vertex) (far graph.Vertex, ok bool) {
-		t0 := time.Now()
-		ecc := s.e.Eccentricity(src)
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(t0)
-		if s.e.Aborted() {
-			s.raiseLB(ecc, src, sweepPartner(s.e.LastFrontier()))
-			return src, false
+		_, far, ok = s.sweep(src, nil)
+		if ok {
+			s.publishBounds()
 		}
-		if firstBFS {
-			firstBFS = false
-			// A BFS from src reaches exactly its component; together with
-			// the isolated-vertex count this decides connectivity, and the
-			// trivial n−1 cap opens the corridor.
-			reached := s.e.Reached()
-			infinite = n > 1 &&
-				(s.stats.RemovedDegree0 > 0 || reached < int64(n)-s.stats.RemovedDegree0)
-			s.capUB(int32(n) - 1)
-		}
-		far = sweepPartner(s.e.LastFrontier())
-		s.raiseLB(ecc, src, far)
-		if !infinite {
-			if ub := 2 * int64(ecc); ub < int64(s.ubCap) {
-				s.capUB(int32(ub))
-			}
-		}
-		if s.ecc[src] == Active {
-			s.setComputed(src, ecc)
-		}
-		s.publishBounds()
-		return far, !s.cancelled()
+		return far, ok && !s.cancelled()
 	}
 
 	rng := s.opt.Approx.Seed
@@ -107,11 +72,11 @@ func (s *solver) approxRun(firstNonIsolated int) bool {
 		}
 		far, ok := leg(src)
 		if !ok {
-			return infinite
+			return
 		}
 		if !s.corridorClosed() && far != src {
 			if _, ok := leg(far); !ok {
-				return infinite
+				return
 			}
 		}
 		if s.corridorClosed() {
@@ -121,7 +86,6 @@ func (s *solver) approxRun(firstNonIsolated int) bool {
 	if checkedBuild {
 		s.checkStateConsistency("approx")
 	}
-	return infinite
 }
 
 // sampleSource draws a non-isolated sweep source from the SplitMix64

@@ -3,15 +3,17 @@ package core
 import (
 	"time"
 
+	"fdiam/internal/bfs"
 	"fdiam/internal/graph"
 )
 
-// This file implements the MS-BFS batching of the main loop: instead of
-// one direction-optimized BFS per surviving active vertex, the solver
-// collects up to 64 of them and advances all 64 traversals with one
-// bit-parallel pass over the edges (bfs.MultiSourceRun), then commits the
-// results in scan-list order. Committing in order and discarding any source
-// an earlier commit's pruning already removed makes the state evolution — the
+// This file implements the main loop's evaluation step and its MS-BFS
+// batching: instead of one direction-optimized BFS per surviving active
+// vertex, the solver may collect up to 64 of them and advance all 64
+// traversals with one bit-parallel pass over the edges
+// (bfs.MultiSourceRun). Either way the results go through one commit path
+// in scan-list order. Committing in order and discarding any source an
+// earlier commit's pruning already removed makes the state evolution — the
 // bound trajectory, every removal, every Stats counter above the MSBFS_*
 // group — exactly identical to the unbatched loop (DESIGN.md §11).
 
@@ -100,61 +102,76 @@ func (s *solver) notePruning(delta int64) {
 	s.pruneEWMA = 0.75*s.pruneEWMA + 0.25*d
 }
 
-// runBatch evaluates the next ≤64 active vertices of the scan list,
-// starting at position i, with one MS-BFS and commits the results in list
-// order. Returns false when cancellation aborted the traversal or cut a
-// commit's step short (the caller breaks the main loop, exactly like a
-// cut-short single BFS).
+// evaluate is the main loop's evaluation step at scan position i, whose
+// vertex is Active: one eccentricity BFS from it — or, when batchEligible
+// holds, one MS-BFS from it and the next Active vertices of the scan list,
+// up to 64 sources — and then one commit of the results in list order.
+// Returns false when cancellation aborted the traversal or cut a commit's
+// step short (the caller breaks the main loop).
 //
-// Checkpoint contract: the barrier stays armed across the whole batch, so
-// a snapshot taken mid-batch (or the one written on abort) still holds
-// every source Active and resumes by redoing the entire batch — sound
-// because nothing is committed until the traversal finishes, and the
-// resumed run rebuilds the identical scan list from the restored state.
-func (s *solver) runBatch(i int) bool {
-	sources := s.batchBuf[:0]
-	for _, w := range s.order[i:] {
-		if len(sources) == 64 {
-			break
+// Checkpoint contract: the barrier stays armed across the whole traversal,
+// so a snapshot taken inside it (or the one written on abort) still holds
+// every source Active and resumes by redoing all of them — sound because
+// nothing is committed until the traversal finishes, and the resumed run
+// rebuilds the identical scan list from the restored state.
+func (s *solver) evaluate(i int) bool {
+	tr := s.opt.Trace
+	sources := append(s.batchBuf[:0], s.order[i])
+	batched := s.batchEligible()
+	if batched {
+		for _, w := range s.order[i+1:] {
+			if len(sources) == 64 {
+				break
+			}
+			if s.ecc[w] == Active {
+				sources = append(sources, w)
+			}
 		}
-		if s.ecc[w] == Active {
-			sources = append(sources, w)
-		}
+		tr.BatchStart(len(sources))
+		hBatchSources.Observe(int64(len(sources)))
+		s.stats.MSBFSBatches++
+		s.stats.MSBFSSources += int64(len(sources))
 	}
 	s.batchBuf = sources
-	tr := s.opt.Trace
-	tr.BatchStart(len(sources))
-	hBatchSources.Observe(int64(len(sources)))
-	s.stats.MSBFSBatches++
-	s.stats.MSBFSSources += int64(len(sources))
 
+	// A single BFS reports in the batch's shape: its witness is the
+	// lowest-id vertex of the last level, the one MS-BFS reports.
+	var res bfs.MultiSourceResult
 	tEcc := time.Now()
 	s.ck.armed = true
-	res := s.e.MultiSourceRun(sources)
+	if batched {
+		res = s.e.MultiSourceRun(sources)
+	} else {
+		ecc := s.e.Eccentricity(sources[0])
+		res = bfs.MultiSourceResult{
+			Ecc:     []int32{ecc},
+			Witness: []graph.Vertex{sweepPartner(s.e.LastFrontier())},
+			Aborted: s.e.Aborted(),
+		}
+	}
 	s.ck.armed = false
 	s.stats.TimeEcc += time.Since(tEcc)
 
 	if res.Aborted {
-		// Each truncated per-source level count still lower-bounds that
-		// source's eccentricity; keep the best one, record nothing as
-		// exact, and persist the interruption point.
-		for i := range sources {
-			s.raiseLB(res.Ecc[i], sources[i], res.Witness[i])
+		// Each truncated level count still lower-bounds its source's
+		// eccentricity; keep the best one, record nothing as exact, and
+		// persist the interruption point.
+		for k, src := range sources {
+			s.raiseLB(res.Ecc[k], src, res.Witness[k])
 		}
-		if tr != nil {
-			tr.Instant("run", "cancelled")
-		}
-		s.writeCheckpoint()
+		s.stopCancelled()
 		return false
 	}
 	if checkedBuild {
-		s.checkBatchEcc(sources, res.Ecc, res.Witness)
+		for k, src := range sources {
+			s.checkEcc(src, res.Ecc[k], res.Witness[k])
+		}
 	}
 
 	committed, discarded := 0, 0
 	stopped := false
-	for i, src := range sources {
-		// ε-early-exit inside the batch: once the corridor is within
+	for k, src := range sources {
+		// ε-early-exit inside a batch: once the corridor is within
 		// tolerance the remaining sources' results are discarded without
 		// being committed (sound — they were never recorded), and the
 		// main loop's own check stops the run at its next iteration.
@@ -164,20 +181,24 @@ func (s *solver) runBatch(i int) bool {
 		}
 		if s.ecc[src] != Active {
 			// An earlier commit's winnow/eliminate already removed this
-			// source: its batch slot is wasted work, never state.
+			// batch source: its lane is wasted work, never state. (A single
+			// source is never discarded: it was Active when the loop chose
+			// it.)
 			discarded++
 			s.stats.MSBFSDiscarded++
 			continue
 		}
 		committed++
 		s.ck.calls++
-		vecc := res.Ecc[i]
 		s.stats.EccBFS++
+		ecc := res.Ecc[k]
 		before := s.removedTotal()
-		s.setComputed(src, vecc)
+		s.setComputed(src, ecc)
 		switch {
-		case vecc > s.bound:
-			old := s.improveBound(vecc, src, res.Witness[i])
+		case ecc > s.bound:
+			// New lower bound for the diameter: extend the winnow ball and
+			// all prior eliminated regions (§4.5).
+			old := s.improveBound(ecc, src, res.Witness[k])
 			if !s.opt.DisableWinnow {
 				s.winnow()
 			}
@@ -186,24 +207,44 @@ func (s *solver) runBatch(i int) bool {
 				s.extendEliminated(old)
 				s.stats.TimeEliminate += time.Since(tEl)
 			}
-		case vecc < s.bound && !s.opt.DisableEliminate:
+		case ecc < s.bound && !s.opt.DisableEliminate:
+			// Theorem 1: everything within bound−ecc(src) of src cannot
+			// beat the bound (§4.4).
 			tEl := time.Now()
-			s.eliminateFrom([]graph.Vertex{src}, vecc, s.bound, StageEliminate)
+			s.eliminateFrom([]graph.Vertex{src}, ecc, s.bound, StageEliminate)
 			s.stats.TimeEliminate += time.Since(tEl)
+		default:
+			// ecc == bound: only src itself is removed (already done by
+			// setComputed).
 		}
 		if s.cancelled() {
-			// As in the single-BFS loop: src's step may be cut short, so
-			// keep the previous snapshot, which redoes the whole batch.
+			// The cancel may have cut src's Winnow/Eliminate step short, so
+			// no snapshot may record src as computed: keep the previous
+			// one, which resumes by redoing every source of this step.
 			return false
 		}
+		// Cost-model feedback: this evaluation's pruning yield.
 		s.notePruning(s.removedTotal() - before)
 		s.observeProgress()
 	}
-	tr.BatchDone(committed, discarded)
+	if batched {
+		tr.BatchDone(committed, discarded)
+	}
 	if !stopped {
 		// An ε-stop leaves uncommitted sources Active; the main loop's
 		// exit path writes that snapshot instead.
 		s.ckptAfterVertex()
 	}
 	return true
+}
+
+// stopCancelled records a cancellation that stops the main loop: the
+// trace's cancelled instant, and a snapshot of the interruption point so a
+// later run resumes here instead of starting over (no-op without a
+// checkpoint dir).
+func (s *solver) stopCancelled() {
+	if tr := s.opt.Trace; tr != nil {
+		tr.Instant("run", "cancelled")
+	}
+	s.writeCheckpoint()
 }

@@ -33,6 +33,34 @@ func (s *solver) chains() {
 	t0 := time.Now()
 	g := s.g
 	n := g.NumVertices()
+	// chainDone records, per chain-end vertex, the largest chain length
+	// already eliminated around it, so hubs with many degree-1 neighbors
+	// are not re-eliminated once per leaf (a star would otherwise cost
+	// O(n²); skipping repeats is a pure no-op semantically because
+	// Eliminate is idempotent removal). chainMax as the recorded length
+	// means the ball exhausted everything reachable around the hub.
+	// chainRing keeps each hub ball's outermost freshly-removed ring, so
+	// a longer chain arriving later extends the ball incrementally from
+	// the ring instead of re-traversing the interior (mirroring
+	// extendEliminated's scheme for bound growth).
+	chainDone := make(map[graph.Vertex]int32)
+	chainRing := make(map[graph.Vertex][]graph.Vertex)
+	// recordBall updates that bookkeeping after a chain elimination
+	// around hub. complete means the partial BFS reached the full
+	// authorized radius: the freshly removed outermost ring is saved as
+	// the seed set for a later, longer chain's incremental extension. An
+	// incomplete traversal exhausted everything reachable around the hub,
+	// so no future chain can remove more — the sentinel blocks all
+	// extensions.
+	recordBall := func(hub graph.Vertex, length int32, ring []graph.Vertex, complete bool) {
+		if !complete {
+			chainDone[hub] = chainMax
+			delete(chainRing, hub)
+			return
+		}
+		chainDone[hub] = length
+		chainRing[hub] = ring
+	}
 	for v := 0; v < n; v++ {
 		if s.cancelled() {
 			break
@@ -76,11 +104,7 @@ func (s *solver) chains() {
 		// (the same scheme extendEliminated uses for bound growth) —
 		// a hub with many leaves of increasing chain length would
 		// otherwise re-pay the whole smaller ball once per leaf.
-		if s.chainDone == nil {
-			s.chainDone = make(map[graph.Vertex]int32)
-			s.chainRing = make(map[graph.Vertex][]graph.Vertex)
-		}
-		done, seen := s.chainDone[cur]
+		done, seen := chainDone[cur]
 		switch {
 		case !seen:
 			ring, levels := s.eliminateFrom([]graph.Vertex{cur}, chainMax-length, chainMax, StageChain)
@@ -90,7 +114,7 @@ func (s *solver) chains() {
 				// drop it and bail out (the caller returns immediately).
 				break
 			}
-			s.recordChainBall(cur, length, ring, levels == length)
+			recordBall(cur, length, ring, levels == length)
 			// Algorithm 5 never marks its source; remove the chain
 			// end explicitly ("we can safely remove all y vertices
 			// that have a degree-1 neighbor"). The Active guard stays
@@ -109,16 +133,16 @@ func (s *solver) chains() {
 			// removals; extension past it could only re-traverse
 			// already-removed territory, so it is skipped (removal is
 			// an optimization — skipping is always sound).
-			ring := s.chainRing[cur]
+			ring := chainRing[cur]
 			if len(ring) == 0 {
-				s.chainDone[cur] = length
+				chainDone[cur] = length
 				break
 			}
 			newRing, levels := s.eliminateFrom(ring, chainMax-length+done, chainMax, StageChain)
 			if s.cancelled() {
 				break
 			}
-			s.recordChainBall(cur, length, newRing, levels == length-done)
+			recordBall(cur, length, newRing, levels == length-done)
 		}
 		// Keep the anchor under consideration (Algorithm 4 line 9).
 		s.reactivate(x)
@@ -131,20 +155,4 @@ func (s *solver) chains() {
 		tr.End("stage", "chain", obs.I("removed_total", s.stats.RemovedChain))
 		s.observeProgress()
 	}
-}
-
-// recordChainBall updates the per-hub extension bookkeeping after a chain
-// elimination around cur. complete means the partial BFS reached the full
-// authorized radius: the freshly removed outermost ring is saved as the
-// seed set for a later, longer chain's incremental extension. An
-// incomplete traversal exhausted everything reachable around the hub, so
-// no future chain can remove more — the sentinel blocks all extensions.
-func (s *solver) recordChainBall(cur graph.Vertex, length int32, ring []graph.Vertex, complete bool) {
-	if !complete {
-		s.chainDone[cur] = chainMax
-		delete(s.chainRing, cur)
-		return
-	}
-	s.chainDone[cur] = length
-	s.chainRing[cur] = ring
 }

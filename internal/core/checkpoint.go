@@ -24,9 +24,8 @@ type ckptState struct {
 	interval int           // write every N main-loop BFS calls; 0 = off
 	every    time.Duration // write when this much time passed; 0 = off
 	last     time.Time     // time of the last write attempt
-	calls    int           // main-loop BFS calls since the last write
+	calls    int           // main-loop commits since the last write
 	armed    bool          // inside a main-loop eccentricity traversal
-	infinite bool          // connectivity verdict persisted into snapshots
 	hash     [32]byte      // cached GraphHash (O(n+m) to compute)
 	hashOK   bool
 }
@@ -88,22 +87,6 @@ func (s *solver) tryResume() bool {
 	s.witnessA = graph.Vertex(snap.WitnessA)
 	s.witnessB = graph.Vertex(snap.WitnessB)
 	s.winnowDepth = snap.WinnowDepth
-	if len(snap.ChainDone) > 0 {
-		s.chainDone = make(map[graph.Vertex]int32, len(snap.ChainDone))
-		for k, v := range snap.ChainDone {
-			s.chainDone[graph.Vertex(k)] = v
-		}
-	}
-	if len(snap.ChainRing) > 0 {
-		s.chainRing = make(map[graph.Vertex][]graph.Vertex, len(snap.ChainRing))
-		for k, ring := range snap.ChainRing {
-			r := make([]graph.Vertex, len(ring))
-			for i, v := range ring {
-				r[i] = graph.Vertex(v)
-			}
-			s.chainRing[graph.Vertex(k)] = r
-		}
-	}
 	// Resume honors the snapshot's anytime tolerance: a caller that did
 	// not choose an ε of its own (Options.Epsilon == 0) adopts the one the
 	// interrupted run was using; an explicit positive ε overrides it, and
@@ -119,7 +102,7 @@ func (s *solver) tryResume() bool {
 	}
 	s.statsFromCounters(&snap.Counters)
 	s.base = snap.Counters
-	s.ck.infinite = snap.Infinite
+	s.infinite = snap.Infinite
 	s.ck.hash, s.ck.hashOK = snap.GraphHash, true
 	s.resumed = true
 	checkpoint.MarkRestored()
@@ -144,7 +127,7 @@ func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 		Start:       uint32(s.start),
 		WitnessA:    uint32(s.witnessA),
 		WitnessB:    uint32(s.witnessB),
-		Infinite:    s.ck.infinite,
+		Infinite:    s.infinite,
 		Ecc:         append([]int32(nil), s.ecc...),
 		Stage:       make([]uint8, len(s.stage)),
 		WinnowDepth: s.winnowDepth,
@@ -157,22 +140,6 @@ func (s *solver) buildSnapshot() *checkpoint.Snapshot {
 	}
 	for i, st := range s.stage {
 		snap.Stage[i] = uint8(st)
-	}
-	if len(s.chainDone) > 0 {
-		snap.ChainDone = make(map[uint32]int32, len(s.chainDone))
-		for k, v := range s.chainDone {
-			snap.ChainDone[uint32(k)] = v
-		}
-	}
-	if len(s.chainRing) > 0 {
-		snap.ChainRing = make(map[uint32][]uint32, len(s.chainRing))
-		for k, ring := range s.chainRing {
-			r := make([]uint32, len(ring))
-			for i, v := range ring {
-				r[i] = uint32(v)
-			}
-			snap.ChainRing[uint32(k)] = r
-		}
 	}
 	snap.Counters = s.countersFromStats()
 	return snap

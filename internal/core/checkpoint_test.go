@@ -242,8 +242,9 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestResumeRejectsVersion2Snapshot: a version-2 snapshot, which still
-// carried a scan position, and a version-3 snapshot, which still carried a
-// winnow frontier, are refused, and the solve degrades to an exact fresh
+// carried a scan position, a version-3 snapshot, which still carried a
+// winnow frontier, and a version-4 snapshot, which still carried the
+// chain-hub maps, are refused, and the solve degrades to an exact fresh
 // one.
 func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 	g := gen.RoadNetwork(60, 60, 0.2, 3)
@@ -258,11 +259,13 @@ func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 	// Payload offsets: the 8-byte NextVertex of v2 sat after the witness
 	// pair; the v3 winnow frontier (an 8-byte length, here 0) after the
 	// per-vertex arrays, which start behind the 72-byte header, the 17
-	// counters and the 8-byte vertex count.
+	// counters and the 8-byte vertex count; v2 to v4 ended with the two
+	// chain maps (an 8-byte length each, here 0).
 	const magicLen, nextVertexAt = 8, 4 + 32 + 4*4
 	n := g.NumVertices()
 	frontierAt := 72 + 17*8 + 8 + 5*n
-	payload := data[magicLen : len(data)-4]
+	payload := binary.LittleEndian.AppendUint64(slices.Clone(data[magicLen:len(data)-4]), 0)
+	payload = binary.LittleEndian.AppendUint64(payload, 0)
 	v2 := binary.LittleEndian.AppendUint32(nil, 2)
 	v2 = append(v2, payload[4:nextVertexAt]...)
 	v2 = binary.LittleEndian.AppendUint64(v2, 0)
@@ -271,11 +274,13 @@ func TestResumeRejectsVersion2Snapshot(t *testing.T) {
 	v3 = append(v3, payload[4:frontierAt]...)
 	v3 = binary.LittleEndian.AppendUint64(v3, 0)
 	v3 = append(v3, payload[frontierAt:]...)
+	v4 := binary.LittleEndian.AppendUint32(nil, 4)
+	v4 = append(v4, payload[4:]...)
 
 	for _, old := range []struct {
 		version int
 		payload []byte
-	}{{2, v2}, {3, v3}} {
+	}{{2, v2}, {3, v3}, {4, v4}} {
 		version := old.version
 		file := append(slices.Clone(data[:magicLen]), old.payload...)
 		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(old.payload))

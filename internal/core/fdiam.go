@@ -114,18 +114,10 @@ type solver struct {
 	dist        []int32
 	winnowDepth int32
 
-	// chainDone records, per chain-end vertex, the largest chain length
-	// already eliminated around it, so hubs with many degree-1 neighbors
-	// are not re-eliminated once per leaf (a star would otherwise cost
-	// O(n²); skipping repeats is a pure no-op semantically because
-	// Eliminate is idempotent removal). chainMax as the recorded length
-	// means the ball exhausted everything reachable around the hub.
-	// chainRing keeps each hub ball's outermost freshly-removed ring, so
-	// a longer chain arriving later extends the ball incrementally from
-	// the ring instead of re-traversing the interior (mirroring
-	// extendEliminated's scheme for bound growth).
-	chainDone map[graph.Vertex]int32
-	chainRing map[graph.Vertex][]graph.Vertex
+	// infinite is the connectivity verdict: the first completed sweep
+	// decides it (a BFS reaches exactly its component), and a resumed run
+	// restores it from the snapshot.
+	infinite bool
 
 	// ctx is the run's context; cancelFlag flips (via context.AfterFunc)
 	// the moment it is done. The solver polls the flag at stage
@@ -148,10 +140,10 @@ type solver struct {
 	// the loop starts, in ascending (d(start, v), v) order (survivorOrder).
 	order []graph.Vertex
 
-	// MS-BFS batching cost-model state (batch.go). pruneEWMA tracks the
-	// recent removals-per-evaluation average (-1 until the first main-loop
-	// evaluation seeds it); batchBuf is the reused ≤64-source collection
-	// buffer.
+	// Main-loop evaluation state (batch.go). pruneEWMA tracks the recent
+	// removals-per-evaluation average the batching cost model reads (-1
+	// until the first main-loop evaluation seeds it); batchBuf is
+	// evaluate's reused ≤64-source buffer.
 	pruneEWMA float64
 	batchBuf  []graph.Vertex
 
@@ -224,12 +216,12 @@ func (s *solver) run() Result {
 	// lower bound established so far; TimedOut additionally distinguishes
 	// deadline causes (Options.Timeout or a deadline on the caller's ctx)
 	// from plain cancellation.
-	finish := func(infinite bool) Result {
+	finish := func() Result {
 		cancelled := s.cancelled()
 		early := s.earlyExit != ""
 		if checkedBuild {
 			s.checkStateConsistency("final")
-			s.checkFinal(infinite, cancelled, early)
+			s.checkFinal(s.infinite, cancelled, early)
 		}
 		s.stats.DirSwitches = s.base.DirSwitches + s.e.DirectionSwitches()
 		s.stats.TimeTotal = s.base.TimeTotal + time.Since(tStart)
@@ -282,7 +274,7 @@ func (s *solver) run() Result {
 			Upper:       upper,
 			Gap:         gap,
 			Approximate: gap > 0,
-			Infinite:    infinite,
+			Infinite:    s.infinite,
 			TimedOut:    timedOut,
 			Cancelled:   cancelled,
 			Resumed:     s.resumed,
@@ -348,7 +340,8 @@ func (s *solver) run() Result {
 	// Sampled approximation mode: a few double sweeps build the corridor
 	// and the run stops there — no Winnow, no main loop, no checkpointing.
 	if s.opt.Approx.Sweeps > 0 {
-		return finish(s.approxRun(firstNonIsolated))
+		s.approxRun(firstNonIsolated)
+		return finish()
 	}
 
 	// Checkpointing and resume. A restored snapshot was captured at a
@@ -357,14 +350,11 @@ func (s *solver) run() Result {
 	// to the main loop over the restored Active set; a rejected restore
 	// (missing, corrupt, wrong graph) degrades to a fresh solve.
 	s.initCheckpoint()
-	var infinite bool
-	var tEcc time.Time
 	// s.dist gets d(start, v) from the start's BFS; maxDist = ecc(start)
 	// is its largest entry.
 	s.dist = make([]int32, n)
 	var maxDist int32
 	if s.tryResume() {
-		infinite = s.ck.infinite
 		// The snapshot carries no eccentricity of u, so the resumed
 		// corridor opens at the trivial cap.
 		s.capUB(int32(n) - 1)
@@ -388,91 +378,42 @@ func (s *solver) run() Result {
 		// Initial diameter via 2-sweep (§4.1): ecc(u), then the eccentricity
 		// of a vertex w maximally far from u becomes the initial bound.
 		s.beginStage("2-sweep", obs.I("start", int64(s.start)))
-		endSweep := func() {
-			if tr != nil {
-				tr.End("stage", "2-sweep", obs.I("bound", int64(s.bound)))
-				s.observeProgress()
-			}
-		}
-		tEcc = time.Now()
-		uEcc := s.e.Distances(s.start, s.dist)
+		uEcc, w, ok := s.sweep(s.start, s.dist)
 		maxDist = uEcc
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(tEcc)
-		if s.e.Aborted() {
-			// The completed levels of the aborted traversal still lower-bound
-			// ecc(u) and hence the diameter: the engine's current frontier is
-			// exactly uEcc levels from u. Nothing is recorded as exact.
-			s.raiseLB(uEcc, s.start, sweepPartner(s.e.LastFrontier()))
-			endSweep()
-			return finish(false)
-		}
-		reached := s.e.Reached()
-		// A BFS from start reaches exactly its component; together with the
-		// isolated-vertex count this decides connectivity with no extra pass.
-		infinite = n > 1 && (s.stats.RemovedDegree0 > 0 || reached < int64(n)-s.stats.RemovedDegree0)
-		// First proven upper bound: any a–b path detours through u, so
-		// d(a,b) ≤ 2·ecc(u) when the graph is connected; n−1 regardless.
-		s.capUB(int32(n) - 1)
-		if !infinite {
-			if ub := 2 * int64(uEcc); ub < int64(s.ubCap) {
-				s.capUB(int32(ub))
-			}
-		}
-		s.setComputed(s.start, uEcc)
-		w := sweepPartner(s.e.LastFrontier())
-		s.raiseLB(uEcc, s.start, w)
-		if w != s.start && !s.cancelled() {
+		if ok && w != s.start && !s.cancelled() {
 			// w's distances stay in hand for the centre step below, whose
 			// BFS then reuses the array.
 			distW := make([]int32, n)
-			tEcc = time.Now()
-			wEcc := s.e.Distances(w, distW)
-			s.stats.EccBFS++
-			s.stats.TimeEcc += time.Since(tEcc)
-			z := sweepPartner(s.e.LastFrontier())
-			s.raiseLB(wEcc, w, z)
-			if s.e.Aborted() {
-				endSweep()
-				return finish(infinite)
-			}
-			s.setComputed(w, wEcc)
+			var wEcc int32
+			var z graph.Vertex
+			wEcc, z, ok = s.sweep(w, distW)
 			// Centre step: when u is visibly off-centre (a centre's
 			// eccentricity is about half the bound, Theorem 3), Winnow and
 			// the survivor scan start at the midpoint m of a w–z diameter
 			// path instead, provided m's ball is the larger one. The "no
 			// 'u'" ablation keeps its fixed start.
-			if !s.opt.StartAtVertexZero && 2*int64(uEcc) > int64(wEcc)+2 && !s.cancelled() {
-				m := midpoint(s.g, distW, z)
-				if s.ecc[m] == Active {
-					tEcc = time.Now()
-					mEcc := s.e.Distances(m, distW)
-					s.stats.EccBFS++
-					s.stats.TimeEcc += time.Since(tEcc)
-					s.raiseLB(mEcc, m, sweepPartner(s.e.LastFrontier()))
-					if s.e.Aborted() {
-						endSweep()
-						return finish(infinite)
-					}
-					s.setComputed(m, mEcc)
-					if ub := 2 * int64(mEcc); !infinite && ub < int64(s.ubCap) {
-						s.capUB(int32(ub))
-					}
-					if largerBall(distW, s.dist, s.bound/2) {
-						s.start = m
-						s.dist = distW
-						maxDist = mEcc
+			if ok && !s.opt.StartAtVertexZero && 2*int64(uEcc) > int64(wEcc)+2 && !s.cancelled() {
+				if m := midpoint(s.g, distW, z); s.ecc[m] == Active {
+					var mEcc int32
+					mEcc, _, ok = s.sweep(m, distW)
+					if ok && largerBall(distW, s.dist, s.bound/2) {
+						s.start, s.dist, maxDist = m, distW, mEcc
 					}
 				}
 			}
 		}
-		if tr != nil {
-			tr.Instant("bound", "initial", obs.I("bound", int64(s.bound)))
+		if ok {
+			if tr != nil {
+				tr.Instant("bound", "initial", obs.I("bound", int64(s.bound)))
+			}
+			s.publishBounds()
 		}
-		s.publishBounds()
-		endSweep()
-		if s.cancelled() {
-			return finish(infinite)
+		if tr != nil {
+			tr.End("stage", "2-sweep", obs.I("bound", int64(s.bound)))
+			s.observeProgress()
+		}
+		if !ok || s.cancelled() {
+			return finish()
 		}
 
 		// Winnow around the starting vertex (§4.2). Winnow subsumes what an
@@ -484,7 +425,7 @@ func (s *solver) run() Result {
 		if !s.opt.DisableWinnow {
 			s.winnow()
 			if s.cancelled() {
-				return finish(infinite)
+				return finish()
 			}
 		}
 
@@ -492,7 +433,7 @@ func (s *solver) run() Result {
 		if !s.opt.DisableChain {
 			s.chains()
 			if s.cancelled() {
-				return finish(infinite)
+				return finish()
 			}
 		}
 	}
@@ -504,7 +445,6 @@ func (s *solver) run() Result {
 	// them (DESIGN.md §1, step 5).
 	s.order = survivorOrder(s.ecc, s.dist, maxDist)
 	s.beginStage("main-loop")
-	s.ck.infinite = infinite
 	completed := true
 	for i, v := range s.order {
 		// ε-early-exit: stop as soon as the corridor is within tolerance.
@@ -527,83 +467,16 @@ func (s *solver) run() Result {
 			continue
 		}
 		if s.cancelled() {
-			if tr != nil {
-				tr.Instant("run", "cancelled")
-			}
-			// Persist the interruption point so a later run resumes here
-			// instead of starting over (no-op without a checkpoint dir).
-			s.writeCheckpoint()
+			s.stopCancelled()
 			completed = false
 			break
 		}
-		// Batched evaluation (§DESIGN 11): when the cost model says the
-		// remaining survivors are bulk work, consume the next ≤64 of them
-		// with one bit-parallel MS-BFS instead of one BFS each. runBatch
-		// commits in list order, so the scan simply skips the vertices the
-		// batch computed (or pruned).
-		if s.batchEligible() {
-			if !s.runBatch(i) {
-				completed = false
-				break
-			}
-			// v was the batch's first source and is now computed; every
-			// other source the batch committed fails the Active check.
-			continue
-		}
-		s.ck.calls++
-		tEcc = time.Now()
-		s.ck.armed = true
-		vecc := s.e.Eccentricity(v)
-		s.ck.armed = false
-		s.stats.EccBFS++
-		s.stats.TimeEcc += time.Since(tEcc)
-		if s.e.Aborted() {
-			// The truncated level count still lower-bounds ecc(v); use it
-			// if it beats the bound, but never record it as exact.
-			s.raiseLB(vecc, v, sweepPartner(s.e.LastFrontier()))
-			if tr != nil {
-				tr.Instant("run", "cancelled")
-			}
-			s.writeCheckpoint()
+		// evaluate commits v, and any batch sources after it, in list
+		// order, so the scan simply skips what it computed or pruned.
+		if !s.evaluate(i) {
 			completed = false
 			break
 		}
-		before := s.removedTotal()
-		s.setComputed(v, vecc)
-		switch {
-		case vecc > s.bound:
-			// New lower bound for the diameter: extend the winnow
-			// ball and all prior eliminated regions (§4.5).
-			old := s.improveBound(vecc, v, sweepPartner(s.e.LastFrontier()))
-			if !s.opt.DisableWinnow {
-				s.winnow()
-			}
-			if !s.opt.DisableEliminate {
-				tEl := time.Now()
-				s.extendEliminated(old)
-				s.stats.TimeEliminate += time.Since(tEl)
-			}
-		case vecc < s.bound && !s.opt.DisableEliminate:
-			// Theorem 1: everything within bound−ecc(v) of v
-			// cannot beat the bound (§4.4).
-			tEl := time.Now()
-			s.eliminateFrom([]graph.Vertex{v}, vecc, s.bound, StageEliminate)
-			s.stats.TimeEliminate += time.Since(tEl)
-		default:
-			// vecc == bound: only v itself is removed (already
-			// done by setComputed).
-		}
-		if s.cancelled() {
-			// The cancel may have cut v's Winnow/Eliminate step short, so
-			// no snapshot may record v as computed: keep the previous one,
-			// which resumes by redoing v.
-			completed = false
-			break
-		}
-		// Cost-model feedback: this evaluation's pruning yield (batch.go).
-		s.notePruning(s.removedTotal() - before)
-		s.observeProgress()
-		s.ckptAfterVertex()
 	}
 	if completed {
 		// The solve is done; a leftover snapshot would only make a later
@@ -613,7 +486,47 @@ func (s *solver) run() Result {
 	if tr != nil {
 		tr.End("stage", "main-loop", obs.I("computed", s.stats.Computed))
 	}
-	return finish(infinite)
+	return finish()
+}
+
+// sweep runs one eccentricity BFS from src — the 2-sweep's u and w, the
+// centre step's m, and each leg of approximation mode — writing the hop
+// distances into dist unless it is nil, and folds the result into the
+// corridor. The level count lower-bounds the diameter, with src and far,
+// the lowest-id vertex of the last level, as its witness pair, even when
+// cancellation cut the traversal short (ok false). A completed traversal
+// also proves ecc(src): the first one decides connectivity (a BFS reaches
+// exactly its component) and opens the corridor at n−1, and on a connected
+// graph any a–b path detours through src, so d(a,b) ≤ 2·ecc(src) caps it.
+func (s *solver) sweep(src graph.Vertex, dist []int32) (ecc int32, far graph.Vertex, ok bool) {
+	t0 := time.Now()
+	if dist != nil {
+		ecc = s.e.Distances(src, dist)
+	} else {
+		ecc = s.e.Eccentricity(src)
+	}
+	s.stats.EccBFS++
+	s.stats.TimeEcc += time.Since(t0)
+	far = sweepPartner(s.e.LastFrontier())
+	s.raiseLB(ecc, src, far)
+	if s.e.Aborted() {
+		return ecc, far, false
+	}
+	if checkedBuild {
+		s.checkEcc(src, ecc, far)
+	}
+	n := int64(s.g.NumVertices())
+	if s.ubCap < 0 { // no corridor yet: the first completed sweep
+		s.infinite = n > 1 && (s.stats.RemovedDegree0 > 0 || s.e.Reached() < n-s.stats.RemovedDegree0)
+	}
+	s.capUB(int32(n - 1))
+	if ub := 2 * int64(ecc); !s.infinite && ub < int64(s.ubCap) {
+		s.capUB(int32(ub))
+	}
+	if s.ecc[src] == Active {
+		s.setComputed(src, ecc)
+	}
+	return ecc, far, true
 }
 
 // sweepPartner picks a vertex off the last level of a BFS — the 2-sweep's

@@ -177,31 +177,29 @@ func (s *solver) checkRecord(v graph.Vertex, cur, val int32) {
 	}
 }
 
-// checkBatchEcc cross-checks every eccentricity a completed MS-BFS batch is
-// about to commit, and the witness that comes with it, against an
-// independent single-source BFS (capped like the other differential
-// checks): the bit-parallel kernels share frontier words across sources,
-// so a masking bug would corrupt exactly these values. The witness must be
-// the lowest-id vertex at distance Ecc from its source, the contract that
-// makes it independent of kernel order and worker count.
-func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32, wits []graph.Vertex) {
+// checkEcc cross-checks an eccentricity the solver is about to record —
+// from a sweep, a single main-loop BFS or a lane of an MS-BFS batch — and
+// the witness that comes with it against an independent BFS (capped like
+// the other differential checks): the direction-optimized and bit-parallel
+// kernels share buffers, frontier words and level bookkeeping, so a bug
+// there corrupts exactly these values. The witness must be the lowest-id
+// vertex at distance ecc from src, the contract that makes it independent
+// of kernel order and worker count.
+func (s *solver) checkEcc(src graph.Vertex, ecc int32, wit graph.Vertex) {
 	if len(s.ecc) > checkedDiffMaxN {
 		return
 	}
-	for i, src := range sources {
-		dist := s.checkedDistances([]graph.Vertex{src})
-		want := slices.Max(dist)
-		lowest := graph.Vertex(slices.Index(dist, want))
-		if eccs[i] != want {
-			violate("batch-ecc",
-				"batch source %d (bit %d): MS-BFS eccentricity %d != independent BFS %d",
-				src, i, eccs[i], want)
-		}
-		if wits[i] != lowest {
-			violate("batch-witness",
-				"batch source %d (bit %d): witness %d, want %d, the lowest id at distance %d",
-				src, i, wits[i], lowest, want)
-		}
+	dist := s.checkedDistances([]graph.Vertex{src})
+	want := slices.Max(dist)
+	lowest := graph.Vertex(slices.Index(dist, want))
+	if ecc != want {
+		violate("ecc-differential",
+			"source %d: eccentricity %d != independent BFS %d", src, ecc, want)
+	}
+	if wit != lowest {
+		violate("ecc-witness",
+			"source %d: witness %d, want %d, the lowest id at distance %d",
+			src, wit, lowest, want)
 	}
 }
 

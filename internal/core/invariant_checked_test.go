@@ -193,33 +193,33 @@ func TestInvariantViolationsFire(t *testing.T) {
 			s.checkWinnowBall()
 		})
 	})
-	t.Run("batch-witness", func(t *testing.T) {
-		mustViolate(t, "batch-witness", func(s *solver) {
-			sources := []graph.Vertex{0, 7}
-			eccs := make([]int32, len(sources))
-			wits := make([]graph.Vertex, len(sources))
-			for i, src := range sources {
-				dist := refDist(s.g, src)
-				eccs[i] = slices.Max(dist)
-				wits[i] = graph.Vertex(slices.Index(dist, eccs[i]))
-			}
-			s.checkBatchEcc(sources, eccs, wits) // the true values pass
-			wits[1] = sources[1]                 // at distance 0, not Ecc
-			s.checkBatchEcc(sources, eccs, wits)
+	t.Run("ecc-witness", func(t *testing.T) {
+		mustViolate(t, "ecc-witness", func(s *solver) {
+			const src = 7
+			dist := refDist(s.g, src)
+			ecc := slices.Max(dist)
+			s.checkEcc(src, ecc, graph.Vertex(slices.Index(dist, ecc))) // the true values pass
+			s.checkEcc(src, ecc, src)                                   // at distance 0, not ecc
 		})
 	})
-	t.Run("batch-witness-lowest", func(t *testing.T) {
-		mustViolate(t, "batch-witness", func(s *solver) {
+	t.Run("ecc-witness-lowest", func(t *testing.T) {
+		mustViolate(t, "ecc-witness", func(s *solver) {
 			// A witness at the right distance that is not the lowest id.
 			for src := range graph.Vertex(len(s.ecc)) {
 				dist := refDist(s.g, src)
 				ecc := slices.Max(dist)
 				lowest := slices.Index(dist, ecc)
 				if other := slices.Index(dist[lowest+1:], ecc); other >= 0 {
-					w := graph.Vertex(lowest + 1 + other)
-					s.checkBatchEcc([]graph.Vertex{src}, []int32{ecc}, []graph.Vertex{w})
+					s.checkEcc(src, ecc, graph.Vertex(lowest+1+other))
 				}
 			}
+		})
+	})
+	t.Run("ecc-differential", func(t *testing.T) {
+		mustViolate(t, "ecc-differential", func(s *solver) {
+			dist := refDist(s.g, 0)
+			ecc := slices.Max(dist)
+			s.checkEcc(0, ecc+1, graph.Vertex(slices.Index(dist, ecc)))
 		})
 	})
 	t.Run("diameter-differential", func(t *testing.T) {

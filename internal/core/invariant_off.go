@@ -20,7 +20,7 @@ func (s *solver) checkEliminateLevel(dist []int32, level int32, frontier []graph
 
 func (s *solver) checkRecord(v graph.Vertex, cur, val int32) {}
 
-func (s *solver) checkBatchEcc(sources []graph.Vertex, eccs []int32, wits []graph.Vertex) {}
+func (s *solver) checkEcc(src graph.Vertex, ecc int32, wit graph.Vertex) {}
 
 func (s *solver) checkComputeTarget(v graph.Vertex) {}
 

@@ -344,24 +344,3 @@ func TestCoreWhiskersTiny(t *testing.T) {
 		}
 	}
 }
-
-func TestLocalPreferentialShape(t *testing.T) {
-	g := LocalPreferential(5000, 4, 200, 0, 7)
-	if !isConnected(g) {
-		t.Fatal("local preferential must be connected")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The window bounds edge span in arrival order... except through the
-	// endpoints array, which only contains windowed entries; verify the
-	// elongation indirectly: vertex 0 and vertex n-1 must be far apart
-	// relative to a log-diameter graph.
-	if g.NumVertices() != 5000 {
-		t.Fatal("size")
-	}
-	tiny := LocalPreferential(1, 3, 10, 0, 1)
-	if tiny.NumVertices() != 1 {
-		t.Fatal("tiny size")
-	}
-}

@@ -93,62 +93,3 @@ func CoreWhiskers(n, k int, whiskerFrac float64, whiskerDepth int, seed uint64) 
 	}
 	return b.Build()
 }
-
-// LocalPreferential generates a power-law graph with controllable diameter
-// by restricting preferential attachment to a sliding window of recent
-// vertices. Each new vertex attaches k edges, degree-proportionally, to
-// endpoints drawn from the last `window` vertices' edges; with probability
-// longRange the draw is global instead.
-//
-// Pure (global) preferential attachment yields ultra-small diameters
-// (~log n), but the paper's social/web/citation inputs have diameters of
-// 20–45: real attachment is local (co-purchases, topic communities, link
-// neighborhoods). The window reproduces that: edges span at most `window`
-// positions in arrival order, so the diameter grows like n/window and
-// setting window = n/targetDiameter makes the diameter roughly
-// scale-invariant. longRange must stay at 0 to preserve that (a constant
-// fraction of global shortcuts collapses the diameter back to log n).
-func LocalPreferential(n, k, window int, longRange float64, seed uint64) *graph.Graph {
-	if n < 2 {
-		return graph.NewBuilder(n).Build()
-	}
-	if window < 2 {
-		window = 2
-	}
-	r := NewRNG(seed)
-	b := graph.NewBuilder(n)
-	// endpoints records both endpoints of every edge in creation order;
-	// sampling a uniform element of a suffix is degree-proportional
-	// sampling among recent attachment activity. starts[v] is the
-	// endpoints length when vertex v arrived, so the window of the last
-	// `window` vertices corresponds to endpoints[starts[v-window]:].
-	endpoints := make([]graph.Vertex, 0, 2*n*k)
-	starts := make([]int, n)
-	b.AddEdge(0, 1)
-	endpoints = append(endpoints, 0, 1)
-	for v := 2; v < n; v++ {
-		starts[v] = len(endpoints)
-		lo := 0
-		if v > window {
-			lo = starts[v-window]
-		}
-		deg := k
-		if deg > v {
-			deg = v
-		}
-		for e := 0; e < deg; e++ {
-			var t graph.Vertex
-			if longRange > 0 && r.Bool(longRange) {
-				t = endpoints[r.Intn(len(endpoints))]
-			} else {
-				t = endpoints[lo+r.Intn(len(endpoints)-lo)]
-			}
-			if t == graph.Vertex(v) {
-				continue
-			}
-			b.AddEdge(graph.Vertex(v), t)
-			endpoints = append(endpoints, graph.Vertex(v), t)
-		}
-	}
-	return b.Build()
-}

@@ -63,45 +63,3 @@ func ConnectedComponents(g *Graph) *Components {
 	}
 	return &Components{ID: id, Sizes: sizes, Count: int(next)}
 }
-
-// LargestComponent extracts the largest connected component as a new graph
-// with densely renumbered vertices. The second return value maps new ids to
-// original ids. Useful for running diameter experiments on the giant
-// component of a disconnected input.
-func LargestComponent(g *Graph) (*Graph, []Vertex) {
-	cc := ConnectedComponents(g)
-	if cc.Count <= 1 {
-		ids := make([]Vertex, g.NumVertices())
-		for i := range ids {
-			ids[i] = Vertex(i)
-		}
-		return g, ids
-	}
-	return ExtractComponent(g, cc, cc.Largest())
-}
-
-// ExtractComponent extracts component comp from g according to labeling cc.
-func ExtractComponent(g *Graph, cc *Components, comp int) (*Graph, []Vertex) {
-	n := g.NumVertices()
-	remap := make([]Vertex, n)
-	var orig []Vertex
-	var count Vertex
-	for v := 0; v < n; v++ {
-		if int(cc.ID[v]) == comp {
-			remap[v] = count
-			orig = append(orig, Vertex(v))
-			count++
-		} else {
-			remap[v] = NoVertex
-		}
-	}
-	b := NewBuilder(int(count))
-	for _, v := range orig {
-		for _, w := range g.Neighbors(v) {
-			if v < w && int(cc.ID[w]) == comp {
-				b.AddEdge(remap[v], remap[w])
-			}
-		}
-	}
-	return b.Build(), orig
-}

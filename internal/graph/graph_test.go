@@ -241,53 +241,6 @@ func TestComponentsConnected(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	b := NewBuilder(10)
-	// Component A: 0-1-2 (3 vertices); component B: 3..9 ring (7 vertices).
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	for v := 3; v < 10; v++ {
-		w := v + 1
-		if w == 10 {
-			w = 3
-		}
-		b.AddEdge(Vertex(v), Vertex(w))
-	}
-	g := b.Build()
-	lc, orig := LargestComponent(g)
-	if lc.NumVertices() != 7 || lc.NumEdges() != 7 {
-		t.Fatalf("largest component n=%d m=%d, want 7/7", lc.NumVertices(), lc.NumEdges())
-	}
-	if len(orig) != 7 {
-		t.Fatalf("orig mapping has %d entries", len(orig))
-	}
-	for _, o := range orig {
-		if o < 3 || o > 9 {
-			t.Errorf("unexpected original id %d", o)
-		}
-	}
-	if err := lc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLargestComponentOfConnectedGraphIsIdentity(t *testing.T) {
-	b := NewBuilder(5)
-	for v := 0; v < 4; v++ {
-		b.AddEdge(Vertex(v), Vertex(v+1))
-	}
-	g := b.Build()
-	lc, orig := LargestComponent(g)
-	if lc != g {
-		t.Error("connected graph should be returned unchanged")
-	}
-	for i, o := range orig {
-		if int(o) != i {
-			t.Errorf("identity mapping broken at %d: %d", i, o)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	b := NewBuilder(8)
 	b.AddEdge(0, 1) // 0 and 1: degree 1 after this... 1 gets more below
@@ -315,32 +268,5 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.MaxDegree != 3 || s.MaxDegreeV != 1 {
 		t.Errorf("max degree %d at %d", s.MaxDegree, s.MaxDegreeV)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(0, 3)
-	g := b.Build()
-	h := DegreeHistogram(g)
-	if h[0] != 1 || h[1] != 3 || h[3] != 1 {
-		t.Fatalf("histogram %v", h)
-	}
-}
-
-func TestDegreePercentiles(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(0, 3)
-	g := b.Build()
-	p := DegreePercentiles(g, []float64{0, 50, 100})
-	if p[0] != 1 || p[2] != 3 {
-		t.Fatalf("percentiles %v", p)
-	}
-	if got := DegreePercentiles(NewBuilder(0).Build(), []float64{50}); got[0] != 0 {
-		t.Fatalf("empty-graph percentile = %d", got[0])
 	}
 }

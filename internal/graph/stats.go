@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes structural properties of a graph, mirroring the columns
 // of the paper's Table 1 (vertices, edges incl. back edges, avg degree, max
@@ -54,40 +51,4 @@ func ComputeStats(g *Graph) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("n=%d arcs=%d avgDeg=%.1f maxDeg=%d deg0=%d deg1=%d cc=%d largestCC=%d",
 		s.Vertices, s.Arcs, s.AvgDegree, s.MaxDegree, s.Degree0, s.Degree1, s.Components, s.LargestCC)
-}
-
-// DegreeHistogram returns counts per degree, truncated after the maximum
-// degree. Index d holds the number of vertices with degree d.
-func DegreeHistogram(g *Graph) []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(Vertex(v))]++
-	}
-	return h
-}
-
-// DegreePercentiles returns the degrees at the given percentiles
-// (each in [0,100]).
-func DegreePercentiles(g *Graph, pcts []float64) []int {
-	n := g.NumVertices()
-	if n == 0 {
-		return make([]int, len(pcts))
-	}
-	degs := make([]int, n)
-	for v := 0; v < n; v++ {
-		degs[v] = g.Degree(Vertex(v))
-	}
-	sort.Ints(degs)
-	out := make([]int, len(pcts))
-	for i, p := range pcts {
-		idx := int(p / 100 * float64(n-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		out[i] = degs[idx]
-	}
-	return out
 }
