@@ -243,7 +243,7 @@ func TestWorkerCountsAgree(t *testing.T) {
 }
 
 func TestMarksEpochIsolation(t *testing.T) {
-	m := NewMarks(10)
+	m := &Marks{cnt: make([]uint32, 10)}
 	m.Next()
 	m.Visit(3)
 	if !m.Visited(3) || m.Visited(4) {
@@ -262,7 +262,7 @@ func TestMarksEpochIsolation(t *testing.T) {
 }
 
 func TestMarksWraparound(t *testing.T) {
-	m := NewMarks(4)
+	m := &Marks{cnt: make([]uint32, 4)}
 	m.epoch = ^uint32(0) // one before wraparound
 	m.Visit(1)
 	m.Next() // wraps: array must be cleared

@@ -16,19 +16,14 @@ import (
 // equals the current epoch; starting a new traversal just bumps the epoch,
 // so no O(n) reset is needed between the thousands of partial BFS calls
 // F-Diam issues (paper §4: "we use a counter rather than a flag to avoid a
-// costly reset procedure").
+// costly reset procedure"). Because a visit only ever writes the current
+// epoch, writing it again is harmless: the serial top-down kernel stores
+// it on every arc it scans, visited target or not, instead of branching on
+// the old value (see topDownSerial).
 type Marks struct {
 	cnt   []uint32
 	epoch uint32
 }
-
-// NewMarks creates marks for n vertices.
-func NewMarks(n int) *Marks {
-	return &Marks{cnt: make([]uint32, n)}
-}
-
-// Len returns the number of vertices covered.
-func (m *Marks) Len() int { return len(m.cnt) }
 
 // Next starts a new traversal epoch. On the (astronomically rare) uint32
 // wraparound the counter array is cleared so stale marks cannot alias.
@@ -69,7 +64,3 @@ func (m *Marks) TryVisit(v graph.Vertex) bool {
 		}
 	}
 }
-
-// visitedRelaxed is the non-atomic read used by the bottom-up step, which
-// runs strictly between mark phases (no concurrent writers).
-func (m *Marks) visitedRelaxed(v graph.Vertex) bool { return m.cnt[v] == m.epoch }

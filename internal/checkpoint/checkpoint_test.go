@@ -1,10 +1,13 @@
 package checkpoint
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fdiam/internal/gen"
@@ -60,33 +63,123 @@ func writeRead(t *testing.T, g *graph.Graph, s *Snapshot) *Snapshot {
 	return got
 }
 
+// roundTripSnapshot is a valid snapshot of gen.Path(16) in which every
+// field, counters included, holds a distinct non-zero value, so a decoder
+// that dropped a field or swapped two of the same width reads back a
+// different snapshot.
+func roundTripSnapshot(g *graph.Graph) *Snapshot {
+	n := g.NumVertices()
+	s := &Snapshot{
+		GraphHash:   GraphHash(g),
+		Bound:       5,
+		Start:       3,
+		WitnessA:    7,
+		WitnessB:    12,
+		Infinite:    true,
+		Epsilon:     2,
+		UbCap:       9,
+		Ecc:         make([]int32, n),
+		Stage:       make([]uint8, n),
+		WinnowDepth: 4,
+		Counters: Counters{
+			EccBFS: 11, WinnowCalls: 13, EliminateCalls: 17, EliminateVisited: 19,
+			BoundImprovements: 23, DirSwitches: 29,
+			TimeInit: 31, TimeEcc: 37, TimeWinnow: 41, TimeChain: 43, TimeEliminate: 47, TimeTotal: 53,
+		},
+	}
+	// Stage classes in runs of 1..5 vertices (computed, winnow, chain,
+	// eliminate, degree-0), so the removal counters differ too; the last
+	// vertex stays active.
+	v := 0
+	for i, c := range []struct {
+		stage   uint8
+		ecc     int32
+		counter *int64
+	}{
+		{5, 6, &s.Counters.Computed},
+		{2, -1, &s.Counters.RemovedWinnow},
+		{3, 8, &s.Counters.RemovedChain},
+		{4, 7, &s.Counters.RemovedEliminate},
+		{1, 0, &s.Counters.RemovedDegree0},
+	} {
+		for k := 0; k <= i; k++ {
+			s.Stage[v], s.Ecc[v] = c.stage, c.ecc
+			*c.counter++
+			v++
+		}
+	}
+	for ; v < n; v++ {
+		s.Ecc[v] = math.MaxInt32
+	}
+	return s
+}
+
 func TestRoundTrip(t *testing.T) {
 	g := gen.Path(16)
-	s := testSnapshot(g)
-	got := writeRead(t, g, s)
-
-	if got.Bound != s.Bound || got.Start != s.Start || got.WitnessA != s.WitnessA ||
-		got.WitnessB != s.WitnessB ||
-		got.Infinite != s.Infinite || got.WinnowDepth != s.WinnowDepth {
-		t.Fatalf("scalar fields differ: got %+v", got)
-	}
-	if got.Counters != s.Counters {
-		t.Fatalf("counters differ: got %+v want %+v", got.Counters, s.Counters)
-	}
-	for v := range s.Ecc {
-		if got.Ecc[v] != s.Ecc[v] || got.Stage[v] != s.Stage[v] {
-			t.Fatalf("vertex %d state differs: %d/%d vs %d/%d",
-				v, got.Ecc[v], got.Stage[v], s.Ecc[v], s.Stage[v])
+	s := roundTripSnapshot(g)
+	// The fixture is only as strong as its values: each scalar field and
+	// counter must be non-zero and differ from every other of its type.
+	seen := map[any]string{}
+	for _, st := range []reflect.Value{reflect.ValueOf(*s), reflect.ValueOf(s.Counters)} {
+		for i := 0; i < st.NumField(); i++ {
+			f, name := st.Field(i), st.Type().Field(i).Name
+			if f.IsZero() {
+				t.Fatalf("fixture field %s is zero", name)
+			}
+			if f.Kind() == reflect.Slice || f.Kind() == reflect.Struct {
+				continue
+			}
+			if prev, dup := seen[f.Interface()]; dup {
+				t.Fatalf("fixture fields %s and %s share the value %v", prev, name, f.Interface())
+			}
+			seen[f.Interface()] = name
 		}
+	}
+	got := writeRead(t, g, s)
+	if !reflect.DeepEqual(got, s) {
+		t.Fatalf("round trip changed the snapshot:\ngot  %+v\nwant %+v", got, s)
 	}
 }
 
+// TestDeterministicEncoding pins the payload byte for byte: the encoding
+// of the gen.Path(8) fixture, field by field in payload order. A change to
+// the layout, a field's width or endianness, or the encoder's field order
+// shows here; a deliberate one bumps the payload version and this golden.
 func TestDeterministicEncoding(t *testing.T) {
-	g := gen.Path(8)
-	s := testSnapshot(g)
-	a, b := s.encode(), s.encode()
-	if string(a) != string(b) {
-		t.Fatal("two encodings of the same snapshot differ")
+	golden := strings.Join([]string{
+		"05000000", // payload version
+		"dcb12d3328320a552bf79a98397106f79b7beb2767054920041047aece0042fc", // graph hash
+		"05000000",         // bound
+		"00000000",         // start
+		"00000000",         // witness A
+		"07000000",         // witness B
+		"00000000",         // flags (infinite)
+		"02000000",         // winnow depth
+		"00000000",         // epsilon
+		"07000000",         // upper-bound cap
+		"0700000000000000", // EccBFS
+		"0000000000000000", // WinnowCalls
+		"0000000000000000", // EliminateCalls
+		"0000000000000000", // EliminateVisited
+		"0000000000000000", // BoundImprovements
+		"0000000000000000", // DirSwitches
+		"0100000000000000", // RemovedWinnow
+		"0100000000000000", // RemovedEliminate
+		"0100000000000000", // RemovedChain
+		"0000000000000000", // RemovedDegree0
+		"0100000000000000", // Computed
+		"0000000000000000", // TimeInit
+		"0000000000000000", // TimeEcc
+		"0000000000000000", // TimeWinnow
+		"0000000000000000", // TimeChain
+		"0000000000000000", // TimeEliminate
+		"87d6120000000000", // TimeTotal
+		"0800000000000000", // vertex count
+		"05000000ffffffff0400000006000000ffffff7fffffff7fffffff7fffffff7f", // ecc
+		"0502040300000000", // stage
+	}, "")
+	if got := hex.EncodeToString(testSnapshot(gen.Path(8)).encode()); got != golden {
+		t.Fatalf("encoding changed:\ngot  %s\nwant %s", got, golden)
 	}
 }
 
