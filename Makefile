@@ -33,6 +33,7 @@ lint: $(BIN)/fdiamlint
 
 # checked runs the core tests with the fdiam.checked assertion layer armed:
 # paper-theorem invariants at runtime plus the naive-baseline differential.
+# CI runs this target, then repeats the cancel/resume tests 50 times.
 checked:
 	$(GO) test -tags fdiam.checked -count=1 ./internal/core/...
 
@@ -53,6 +54,8 @@ SCALE ?= quick
 fig7:
 	$(GO) run ./cmd/experiments -run fig7 -scale $(SCALE) -workers 2
 
+# fuzz-smoke runs every fuzz target for 15 s, as CI does; add a new
+# target here and CI picks it up.
 fuzz-smoke:
 	$(GO) test -tags fdiam.checked -fuzz=FuzzDiameterMatchesNaive -fuzztime=15s -run='^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzReadAuto -fuzztime=15s -run='^$$' ./internal/graphio/

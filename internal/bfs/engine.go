@@ -9,7 +9,7 @@ import (
 	"fdiam/internal/par"
 )
 
-// Default α/β for the adaptive direction heuristic (see runWith). Both
+// Default α/β for the adaptive direction heuristic (see run). Both
 // deviate from Beamer's multicore tuning (α = 14, β = 24) deliberately:
 // that α enters bottom-up far too eagerly when the bottom-up pass cannot
 // spread its O(n) scan over cores, so α instead scales a serial cost model
@@ -39,18 +39,23 @@ type Engine struct {
 
 	// alpha and beta drive the Beamer-style adaptive direction switch:
 	// go bottom-up when the modeled bottom-up cost undercuts alpha times
-	// the frontier's outgoing arcs (the top-down cost — see runWith for
-	// the model), return top-down when the frontier shrinks below n/beta
+	// the frontier's outgoing arcs (the top-down cost — see run for the
+	// model), return top-down when the frontier shrinks below n/beta
 	// vertices.
 	alpha, beta int
-	// serialCutoff is the frontier size below which even "parallel"
-	// traversals expand serially; tiny frontiers do not amortize the
-	// goroutine spawn and join (the paper makes the same call for
-	// Eliminate).
+	// serialCutoff is the item count below which a pass that could run
+	// under par.ForWorker runs inline instead (parallelPass): the
+	// bottom-up scan over all n vertices, its frontier-bitset fill, the
+	// −1 fill and per-level writes of Distances' dist array, and the
+	// MS-BFS pull kernel and its O(touched) resets. Small passes do not
+	// amortize the goroutine spawn and join. Top-down levels always
+	// expand serially (topDownSerial).
 	serialCutoff int
 
 	wl1, wl2 []graph.Vertex
-	bufs     [][]graph.Vertex
+	// bufs are the per-worker output buffers of the parallel bottom-up
+	// scan and the MS-BFS pull, concatenated after the barrier.
+	bufs [][]graph.Vertex
 	// catOffs holds per-worker destination offsets for the parallel
 	// frontier concatenation.
 	catOffs []int
@@ -128,14 +133,14 @@ func New(g *graph.Graph, workers int) *Engine {
 	return e
 }
 
-// parForWorker runs a chunked parallel-for for the engine's kernels. It
-// runs once per BFS level from every parallel kernel, so it is hot-path
+// parForWorker runs a chunked parallel-for across the engine's workers.
+// It runs once per BFS level from every parallel kernel, so it is hot-path
 // audited itself rather than tainting each caller's deepalloc summary.
 //
 //fdiam:hotpath
-func (e *Engine) parForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
+func (e *Engine) parForWorker(n, chunk int, body func(worker, lo, hi int)) {
 	//fdiamlint:ignore deepalloc a dispatched call allocates the body closure, its job and WaitGroup, and workers-1 goroutines once per parallel level, amortized over the whole frontier
-	par.ForWorker(n, workers, chunk, body)
+	par.ForWorker(n, e.workers, chunk, body)
 }
 
 // Close is a no-op kept for callers that release an engine when done: the
@@ -155,7 +160,7 @@ func (e *Engine) SetDirectionOptimized(on bool) { e.dirOpt = on }
 
 // setAlphaBeta overrides the direction-switch parameters: the hybrid goes
 // bottom-up when the modeled bottom-up cost is below alpha× the top-down
-// cost (runWith documents the model), and returns top-down when the
+// cost (run documents the model), and returns top-down when the
 // frontier has fewer than n/beta vertices. Values < 1 select the defaults
 // (DefaultAlpha, DefaultBeta). Huge values of both — alpha beyond
 // n·(m+1) — force bottom-up from the first level and keep it there, which
@@ -196,13 +201,20 @@ func (e *Engine) SetBarrier(f func()) { e.barrier = f }
 // but must not be recorded as an exact value.
 func (e *Engine) Aborted() bool { return e.aborted }
 
-// setSerialCutoff overrides the frontier size below which parallel
-// traversals expand serially (default 1024).
+// setSerialCutoff overrides the item count below which the engine's
+// parallel passes run inline (default 1024).
 func (e *Engine) setSerialCutoff(c int) {
 	if c < 0 {
 		c = 0
 	}
 	e.serialCutoff = c
+}
+
+// parallelPass reports whether a pass over k items runs under
+// par.ForWorker: only with more than one worker and at least
+// serialCutoff items.
+func (e *Engine) parallelPass(k int) bool {
+	return e.workers > 1 && k >= e.serialCutoff
 }
 
 // Reached returns the number of vertices visited by the most recent
@@ -240,16 +252,21 @@ func (e *Engine) LastFrontier() []graph.Vertex { return e.wl1 }
 // distance arrays Winnow and the survivor scan read, by a resumed solve to
 // rebuild the start's distances, and by the bounding and iFUB baselines.
 func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
-	n := e.g.NumVertices()
-	e.parForWorker(n, e.workers, 0, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+	if n := e.g.NumVertices(); e.parallelPass(n) {
+		e.parForWorker(n, 0, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dist[i] = -1
+			}
+		})
+	} else {
+		for i := range dist {
 			dist[i] = -1
 		}
-	})
+	}
 	dist[src] = 0
 	return e.run("dist", []graph.Vertex{src}, -1, true, func(level int32, frontier []graph.Vertex) {
-		if len(frontier) >= e.serialCutoff && e.workers > 1 {
-			e.parForWorker(len(frontier), e.workers, 0, func(_, lo, hi int) {
+		if e.parallelPass(len(frontier)) {
+			e.parForWorker(len(frontier), 0, func(_, lo, hi int) {
 				for _, v := range frontier[lo:hi] {
 					dist[v] = level
 				}
@@ -267,22 +284,18 @@ func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
 // levels (maxLevels < 0 means unbounded). After each level, onLevel is
 // invoked with the level number (starting at 1) and the newly visited
 // frontier; the slice is reused, so callers must consume it immediately.
-// Expansion is serial whatever the engine's worker count: Eliminate's
-// worklists are typically tiny (§4.4).
+// Partial never leaves top-down, whose levels expand serially at every
+// worker count: Eliminate's worklists are typically tiny (§4.4).
 func (e *Engine) Partial(seeds []graph.Vertex, maxLevels int32,
 	onLevel func(level int32, frontier []graph.Vertex)) int32 {
-	return e.runWith("partial", seeds, maxLevels, false, 1, onLevel)
+	return e.run("partial", seeds, maxLevels, false, onLevel)
 }
 
-// run executes the traversal with the engine's configured worker count.
-func (e *Engine) run(kind string, seeds []graph.Vertex, maxLevels int32, dirOpt bool,
-	onLevel func(level int32, frontier []graph.Vertex)) int32 {
-	return e.runWith(kind, seeds, maxLevels, dirOpt, e.workers, onLevel)
-}
-
-// runWith is the single traversal core shared by every entry point. It
+// run is the single traversal core shared by every entry point. It
 // returns the number of completed levels (the distance of the farthest
-// vertex reached from the seed set).
+// vertex reached from the seed set). Top-down levels run topDownSerial
+// at every worker count; only bottom-up levels (bottomUpStep) may run in
+// parallel.
 //
 // Direction selection is Beamer-style — edge counts decide, α scales the
 // entry, β the exit — but the entry condition is a serial cost model, not
@@ -313,7 +326,7 @@ func (e *Engine) run(kind string, seeds []graph.Vertex, maxLevels int32, dirOpt 
 // switching is actually in play. An unvisited-vertex count terminates the
 // traversal as soon as the component is exhausted, without a final empty
 // expansion.
-func (e *Engine) runWith(kind string, seeds []graph.Vertex, maxLevels int32, dirOpt bool, workers int,
+func (e *Engine) run(kind string, seeds []graph.Vertex, maxLevels int32, dirOpt bool,
 	onLevel func(level int32, frontier []graph.Vertex)) int32 {
 	tr := e.trace
 	tr.TraversalStart(kind, len(seeds))
@@ -393,25 +406,14 @@ func (e *Engine) runWith(kind string, seeds []graph.Vertex, maxLevels int32, dir
 		if tr != nil {
 			lvlArcs = e.frontierArcs()
 		}
-		var step obs.Step
+		step := obs.StepTopDownSerial
 		e.wl2 = e.wl2[:0]
-		switch {
-		case bottomUp:
-			if workers > 1 && n >= e.serialCutoff {
-				step = obs.StepBottomUpParallel
-			} else {
-				step = obs.StepBottomUpSerial
-			}
-			candsOK = e.bottomUpStep(workers, candsOK)
-		case workers > 1 && nf >= e.serialCutoff:
-			step = obs.StepTopDownParallel
-			e.topDownParallel(workers)
-			candsOK = false
-		default:
-			step = obs.StepTopDownSerial
+		if bottomUp {
+			step = e.bottomUpStep(candsOK)
+		} else {
 			e.wl2 = topDownSerial(e.g.Offsets(), e.g.Targets(), e.marks.cnt, e.marks.epoch, e.wl1, e.wl2)
-			candsOK = false
 		}
+		candsOK = step == obs.StepBottomUpSerial
 		if len(e.wl2) == 0 {
 			break
 		}
@@ -466,7 +468,7 @@ func (e *Engine) frontierArcs() int64 {
 // The form was chosen from the generated code and per-traversal timings:
 // a free function over slices beat the receiver form (e.marks and e.wl2
 // read through e) by 5–15 % on grids, a conditional move beat SETNE by
-// about 5 %, and inlining into runWith, whose many live values crowd the
+// about 5 %, and inlining into run, whose many live values crowd the
 // registers, cost 15–40 % on every high-diameter input; hence noinline.
 //
 //go:noinline
@@ -494,49 +496,21 @@ func topDownSerial(offsets []int64, targets []graph.Vertex, cnt []uint32, epoch 
 	return buf[:k]
 }
 
-// topDownParallel expands wl1 into wl2 using CAS claims and per-worker
-// output buffers that are concatenated after the barrier, which avoids a
-// contended shared append (the OpenMP code's atomic worklist insert).
-//
-//fdiam:hotpath
-func (e *Engine) topDownParallel(workers int) {
-	offsets, targets := e.g.Offsets(), e.g.Targets()
-	for w := 0; w < workers; w++ {
-		e.bufs[w] = e.bufs[w][:0]
-	}
-	marks := &e.marks
-	e.parForWorker(len(e.wl1), workers, 64, func(worker, lo, hi int) {
-		buf := e.bufs[worker]
-		for _, v := range e.wl1[lo:hi] {
-			adj := targets[offsets[v]:offsets[v+1]]
-			for _, n := range adj {
-				if marks.VisitedAtomic(n) {
-					continue
-				}
-				if marks.TryVisit(n) {
-					buf = append(buf, n)
-				}
-			}
-		}
-		e.bufs[worker] = buf
-	})
-	e.concatFrontier(workers)
-}
-
 // bottomUpStep implements the topology-driven pass of Algorithm 2: every
 // unvisited vertex scans its adjacency list for a neighbor in the current
 // frontier. The serial and parallel variants test frontier membership
 // differently; bottomUpSerial explains the trick that makes the serial
 // probe free. reuseCands is true when the previous level also ran the
 // serial bottom-up step, in which case its leftover unvisited list replaces
-// the O(n) scan.
-func (e *Engine) bottomUpStep(workers int, reuseCands bool) bool {
-	if workers > 1 && e.g.NumVertices() >= e.serialCutoff {
-		e.bottomUpParallel(workers)
-		return false
+// the O(n) scan. It picks the kernel and returns the one it ran, which
+// run uses as the level's label.
+func (e *Engine) bottomUpStep(reuseCands bool) obs.Step {
+	if e.parallelPass(e.g.NumVertices()) {
+		e.bottomUpParallel()
+		return obs.StepBottomUpParallel
 	}
 	e.bottomUpSerial(reuseCands)
-	return true
+	return obs.StepBottomUpSerial
 }
 
 // bottomUpSerial probes the visited marks directly instead of building a
@@ -615,7 +589,7 @@ func (e *Engine) bottomUpSerial(reuseCands bool) {
 // is spread over cores.
 //
 //fdiam:hotpath
-func (e *Engine) bottomUpParallel(workers int) {
+func (e *Engine) bottomUpParallel() {
 	offsets, targets := e.g.Offsets(), e.g.Targets()
 	n := e.g.NumVertices()
 	if words := (n + 63) / 64; len(e.front) < words {
@@ -624,10 +598,11 @@ func (e *Engine) bottomUpParallel(workers int) {
 	}
 	front := e.front
 	clear(front)
-	if workers > 1 && len(e.wl1) >= e.serialCutoff {
+	workers := e.workers
+	if e.parallelPass(len(e.wl1)) {
 		// Frontier vertices of one range may share a word with another
 		// range's, so concurrent setters need the atomic OR.
-		e.parForWorker(len(e.wl1), workers, 0, func(_, lo, hi int) {
+		e.parForWorker(len(e.wl1), 0, func(_, lo, hi int) {
 			for _, v := range e.wl1[lo:hi] {
 				atomic.OrUint64(&front[v>>6], 1<<(v&63))
 			}
@@ -641,7 +616,7 @@ func (e *Engine) bottomUpParallel(workers int) {
 		e.bufs[w] = e.bufs[w][:0]
 	}
 	cnt, epoch := e.marks.cnt, e.marks.epoch
-	e.parForWorker(n, workers, 2048, func(worker, lo, hi int) {
+	e.parForWorker(n, 2048, func(worker, lo, hi int) {
 		buf := e.bufs[worker]
 		for v := lo; v < hi; v++ {
 			if cnt[v] == epoch {
@@ -658,25 +633,19 @@ func (e *Engine) bottomUpParallel(workers int) {
 		}
 		e.bufs[worker] = buf
 	})
-	e.concatFrontier(workers)
-}
-
-// concatFrontier folds the per-worker output buffers into wl2. Large
-// frontiers are concatenated in parallel: each worker copies its buffer
-// into a precomputed slot, so the post-barrier merge is no longer a serial
-// O(frontier) append chain.
-//
-//fdiam:hotpath
-func (e *Engine) concatFrontier(workers int) {
-	e.wl2 = e.concatInto(e.wl2, workers)
+	e.wl2 = e.concatInto(e.wl2)
 }
 
 // concatInto appends the per-worker output buffers to dst (which the caller
-// has reset to length 0) and returns the grown slice. Shared by the
-// single-source frontier swap and the multi-source active-list rebuild.
+// has reset to length 0) and returns the grown slice: the parallel
+// bottom-up scan's next frontier and the MS-BFS pull's next active list.
+// Large outputs are concatenated in parallel: each worker copies its
+// buffer into a precomputed slot, so the post-barrier merge is not a
+// serial O(frontier) append chain.
 //
 //fdiam:hotpath
-func (e *Engine) concatInto(dst []graph.Vertex, workers int) []graph.Vertex {
+func (e *Engine) concatInto(dst []graph.Vertex) []graph.Vertex {
+	workers := e.workers
 	total := 0
 	for w := 0; w < workers; w++ {
 		total += len(e.bufs[w])
@@ -699,7 +668,7 @@ func (e *Engine) concatInto(dst []graph.Vertex, workers int) []graph.Vertex {
 			dst = make([]graph.Vertex, total)
 		}
 		dst = dst[:total]
-		e.parForWorker(workers, workers, 1, func(_, lo, hi int) {
+		e.parForWorker(workers, 1, func(_, lo, hi int) {
 			for w := lo; w < hi; w++ {
 				copy(dst[offs[w]:offs[w+1]], e.bufs[w])
 			}

@@ -1,15 +1,11 @@
 // Package bfs implements the level-synchronous breadth-first-search engine
-// that underlies F-Diam and all baselines: serial and parallel top-down
-// expansion, the bottom-up pass, the direction-optimized hybrid of the
-// paper's Algorithm 2, partial and multi-source traversals, and
+// that underlies F-Diam and all baselines: serial top-down expansion,
+// serial and parallel bottom-up passes, the direction-optimized hybrid of
+// the paper's Algorithm 2, partial and multi-source traversals, and
 // counter-based visited marks that avoid per-traversal resets (paper §4).
 package bfs
 
-import (
-	"sync/atomic"
-
-	"fdiam/internal/graph"
-)
+import "fdiam/internal/graph"
 
 // Marks is the counter-based visited set shared by all traversals of one
 // engine. A vertex is visited in the current traversal iff its counter
@@ -40,27 +36,5 @@ func (m *Marks) Next() {
 // Visited reports whether v has been visited in the current epoch.
 func (m *Marks) Visited(v graph.Vertex) bool { return m.cnt[v] == m.epoch }
 
-// Visit marks v visited. Not safe for concurrent writers to the same vertex;
-// use TryVisit in parallel top-down expansion.
+// Visit marks v visited. Not safe for concurrent writers to the same vertex.
 func (m *Marks) Visit(v graph.Vertex) { m.cnt[v] = m.epoch }
-
-// VisitedAtomic reports whether v has been visited using an atomic load.
-// Parallel top-down expansion uses it as a cheap pre-check before the
-// TryVisit CAS, where plain reads would race with concurrent visitors.
-func (m *Marks) VisitedAtomic(v graph.Vertex) bool {
-	return atomic.LoadUint32(&m.cnt[v]) == m.epoch
-}
-
-// TryVisit atomically marks v visited and reports whether this call was the
-// first visitor in the current epoch.
-func (m *Marks) TryVisit(v graph.Vertex) bool {
-	for {
-		old := atomic.LoadUint32(&m.cnt[v])
-		if old == m.epoch {
-			return false
-		}
-		if atomic.CompareAndSwapUint32(&m.cnt[v], old, m.epoch) {
-			return true
-		}
-	}
-}

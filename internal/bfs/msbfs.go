@@ -149,7 +149,7 @@ func (e *Engine) MultiSourceRun(sources []graph.Vertex) MultiSourceResult {
 		if e.barrier != nil {
 			e.barrier()
 		}
-		// Kernel choice, gated like runWith: the O(1) nf·maxDeg upper
+		// Kernel choice, gated like run's: the O(1) nf·maxDeg upper
 		// bound on the active arcs keeps the exact O(active) sum off
 		// levels where pull is out of the question.
 		usePull := false
@@ -258,8 +258,8 @@ func (e *Engine) msReset() {
 			ms.frontier[v] = 0
 		}
 	}
-	if e.workers > 1 && len(ms.dirty) >= e.serialCutoff {
-		e.parForWorker(len(ms.dirty), e.workers, 2048, func(_, lo, hi int) { clear(lo, hi) })
+	if e.parallelPass(len(ms.dirty)) {
+		e.parForWorker(len(ms.dirty), 2048, func(_, lo, hi int) { clear(lo, hi) })
 	} else {
 		clear(0, len(ms.dirty))
 	}
@@ -327,8 +327,8 @@ func (e *Engine) msPush() uint64 {
 // that owns v's range, and frontier is read-only during the level. The
 // per-worker advanced words and first-touch counts land in the hoisted
 // reduction buffers; the per-worker frontier/dirty buffers are
-// concatenated after the barrier exactly like the single-source parallel
-// kernels.
+// concatenated after the barrier exactly like the parallel bottom-up
+// scan's.
 //
 //fdiam:hotpath
 func (e *Engine) msPull(live uint64) uint64 {
@@ -346,7 +346,7 @@ func (e *Engine) msPull(live uint64) uint64 {
 	}
 	// Lanes outside live can never arrive this level: count them as seen.
 	dead := ^live
-	e.parForWorker(n, workers, 1024, func(worker, lo, hi int) {
+	e.parForWorker(n, 1024, func(worker, lo, hi int) {
 		buf := e.bufs[worker]
 		dbuf := e.ms.dbufs[worker]
 		var adv uint64
@@ -389,7 +389,7 @@ func (e *Engine) msPull(live uint64) uint64 {
 		e.ms.touched += int(touch[w])
 		e.ms.dirty = append(e.ms.dirty, e.ms.dbufs[w]...)
 	}
-	e.ms.nextAct = e.concatInto(e.ms.nextAct, workers)
+	e.ms.nextAct = e.concatInto(e.ms.nextAct)
 	return advanced
 }
 
@@ -403,7 +403,7 @@ func (e *Engine) msPull(live uint64) uint64 {
 //fdiam:hotpath
 func (e *Engine) msSwapFrontier() {
 	ms := &e.ms
-	parallel := e.workers > 1 && len(ms.active)+len(ms.nextAct) >= e.serialCutoff
+	parallel := e.parallelPass(len(ms.active) + len(ms.nextAct))
 	clearOld := func(lo, hi int) {
 		for _, v := range ms.active[lo:hi] {
 			ms.frontier[v] = 0
@@ -416,8 +416,8 @@ func (e *Engine) msSwapFrontier() {
 		}
 	}
 	if parallel {
-		e.parForWorker(len(ms.active), e.workers, 2048, func(_, lo, hi int) { clearOld(lo, hi) })
-		e.parForWorker(len(ms.nextAct), e.workers, 2048, func(_, lo, hi int) { install(lo, hi) })
+		e.parForWorker(len(ms.active), 2048, func(_, lo, hi int) { clearOld(lo, hi) })
+		e.parForWorker(len(ms.nextAct), 2048, func(_, lo, hi int) { install(lo, hi) })
 		return
 	}
 	clearOld(0, len(ms.active))

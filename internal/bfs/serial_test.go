@@ -85,21 +85,41 @@ func isolatedExtras() *graph.Graph {
 	return b.Build()
 }
 
-// TestSerialFrontierOrderMatchesQueueBFS pins the serial top-down kernel's
-// output order, not just the level count: every level of Partial (single
-// and multi-source), the last frontier of a serial Eccentricity and the
-// levels Distances writes all equal a plain queue BFS on grid, subdivided
-// road, core-whiskers and disconnected inputs.
-func TestSerialFrontierOrderMatchesQueueBFS(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"grid":          gen.Grid2D(23, 17),
-		"road":          gen.Subdivide(gen.RoadNetwork(20, 20, 0.30, 5), 3),
-		"core-whiskers": gen.CoreWhiskers(2000, 4, 0.20, 6, 7),
-		"isolated":      isolatedExtras(),
+// starPendants returns a star on centre 0 and leaves 1..leaves, each leaf
+// i carrying one pendant vertex leaves+i: from the centre, a level of
+// every leaf, then a level of every pendant expanded from that frontier.
+func starPendants(leaves int) *graph.Graph {
+	b := graph.NewBuilder(2*leaves + 1)
+	for i := 1; i <= leaves; i++ {
+		b.AddEdge(0, graph.Vertex(i))
+		b.AddEdge(graph.Vertex(i), graph.Vertex(leaves+i))
 	}
-	for name, g := range graphs {
+	return b.Build()
+}
+
+// TestSerialFrontierOrderMatchesQueueBFS pins the top-down kernel's output
+// order, not just the level count: every level of Partial (single and
+// multi-source) and of the full top-down traversal behind Eccentricity and
+// Distances, the last frontier each of those leaves, and the levels
+// Distances writes all equal a plain queue BFS on grid, subdivided road,
+// core-whiskers and disconnected inputs at Workers=1, and on a star with
+// pendants at Workers=4, whose frontiers of 1100 leaves exceed the
+// engine's serial cutoff.
+func TestSerialFrontierOrderMatchesQueueBFS(t *testing.T) {
+	cases := map[string]struct {
+		g       *graph.Graph
+		workers int
+	}{
+		"grid":          {gen.Grid2D(23, 17), 1},
+		"road":          {gen.Subdivide(gen.RoadNetwork(20, 20, 0.30, 5), 3), 1},
+		"core-whiskers": {gen.CoreWhiskers(2000, 4, 0.20, 6, 7), 1},
+		"isolated":      {isolatedExtras(), 1},
+		"star-pendants": {starPendants(1100), 4},
+	}
+	for name, c := range cases {
+		g := c.g
 		n := g.NumVertices()
-		e := New(g, 1)
+		e := New(g, c.workers)
 		e.SetDirectionOptimized(false)
 		dist := make([]int32, n)
 		for _, src := range []graph.Vertex{0, graph.Vertex(n / 3), graph.Vertex(n - 1)} {
@@ -109,17 +129,27 @@ func TestSerialFrontierOrderMatchesQueueBFS(t *testing.T) {
 			if int(levels) != len(want) {
 				t.Fatalf("%s: Partial returned %d levels, want %d", name, levels, len(want))
 			}
-			if ecc := e.Eccentricity(src); int(ecc) != len(want) {
-				t.Fatalf("%s: ecc(%d) = %d, want %d", name, src, ecc, len(want))
-			}
+			var full [][]graph.Vertex
+			e.run("ecc", []graph.Vertex{src}, -1, true, func(_ int32, frontier []graph.Vertex) {
+				full = append(full, slices.Clone(frontier))
+			})
+			checkLevels(t, name+" full traversal", full, want)
 			last := []graph.Vertex{src}
 			if len(want) > 0 {
 				last = want[len(want)-1]
 			}
+			if ecc := e.Eccentricity(src); int(ecc) != len(want) {
+				t.Fatalf("%s: ecc(%d) = %d, want %d", name, src, ecc, len(want))
+			}
 			if !slices.Equal(e.LastFrontier(), last) {
 				t.Fatalf("%s: last frontier of %d = %v, want %v", name, src, e.LastFrontier(), last)
 			}
-			e.Distances(src, dist)
+			if ecc := e.Distances(src, dist); int(ecc) != len(want) {
+				t.Fatalf("%s: Distances from %d returned %d, want %d", name, src, ecc, len(want))
+			}
+			if !slices.Equal(e.LastFrontier(), last) {
+				t.Fatalf("%s: Distances' last frontier of %d = %v, want %v", name, src, e.LastFrontier(), last)
+			}
 			for lvl, frontier := range want {
 				for _, v := range frontier {
 					if dist[v] != int32(lvl+1) {

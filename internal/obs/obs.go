@@ -226,14 +226,16 @@ func (r *Run) Instant(cat, name string, args ...Arg) {
 type Step uint8
 
 const (
+	// StepTopDownSerial is the one top-down kernel, serial at every
+	// worker count.
 	StepTopDownSerial Step = iota
-	StepTopDownParallel
 	StepBottomUpSerial
 	StepBottomUpParallel
 	// StepMSPush, StepMSPullSerial and StepMSPullParallel are the
 	// bit-parallel multi-source kernels: push scatters the active
 	// frontier's bit words serially, pull gathers neighbor words over all
-	// vertices, inline at Workers = 1 and under the worker pool otherwise.
+	// vertices, inline at Workers = 1 and across par.ForWorker's
+	// goroutines otherwise.
 	StepMSPush
 	StepMSPullSerial
 	StepMSPullParallel
@@ -243,8 +245,6 @@ func (s Step) String() string {
 	switch s {
 	case StepTopDownSerial:
 		return "td-serial"
-	case StepTopDownParallel:
-		return "td-parallel"
 	case StepBottomUpSerial:
 		return "bu-serial"
 	case StepBottomUpParallel:
@@ -271,7 +271,7 @@ func (s Step) dir() int64 {
 }
 
 func (s Step) parallel() int64 {
-	if s == StepTopDownParallel || s == StepBottomUpParallel || s == StepMSPullParallel {
+	if s == StepBottomUpParallel || s == StepMSPullParallel {
 		return 1
 	}
 	return 0
