@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzEdgeListMatchesReference -fuzztime=15s -run='^$$' ./internal/graphio/
 	$(GO) test -fuzz=FuzzMultiSourceMatchesSingleSource -fuzztime=15s -run='^$$' ./internal/bfs/
 	$(GO) test -fuzz=FuzzPartialMatchesReference -fuzztime=15s -run='^$$' ./internal/bfs/
+	$(GO) test -fuzz=FuzzBottomUpMatchesReference -fuzztime=15s -run='^$$' ./internal/bfs/
 
 # chaos runs the crash-safety end-to-end test: build a real fdiamd, kill -9
 # it mid-solve, restart it over the same -checkpoint-dir, and verify the

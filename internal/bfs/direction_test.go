@@ -83,6 +83,7 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 	// For every topology, eccentricities must be identical with the
 	// adaptive hybrid on, off, and forced to pure bottom-up, at each
 	// worker width. Plain top-down (dirOpt off) is the trusted reference.
+	var switches int64
 	for name, g := range directionCatalog() {
 		n := g.NumVertices()
 		step := n/17 + 1
@@ -93,11 +94,13 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 			forced := New(g, workers)
 			forced.setAlphaBeta(1<<30, 1<<30)
 			forced.setSerialCutoff(0)
-			// A cutoff of n keeps the parallel bottom-up scan but fills
-			// its frontier bitset serially (every frontier is below n).
-			serialFill := New(g, workers)
-			serialFill.setAlphaBeta(1<<30, 1<<30)
-			serialFill.setSerialCutoff(n)
+			// The adaptive schedule at two or more workers and a zero
+			// cutoff: every bottom-up level runs the parallel scan, which
+			// reads the marks a serial top-down level just wrote, and the
+			// top-down levels after the β exit read the marks its deferred
+			// pass wrote.
+			mixed := New(g, max(workers, 2))
+			mixed.setSerialCutoff(0)
 			srcs := []graph.Vertex{g.MaxDegreeVertex()}
 			for v := 0; v < n; v += step {
 				srcs = append(srcs, graph.Vertex(v))
@@ -112,12 +115,16 @@ func TestDirOptEquivalenceAcrossCatalog(t *testing.T) {
 					t.Errorf("%s workers=%d: forced bottom-up ecc(%d) = %d, top-down says %d",
 						name, workers, src, got, want)
 				}
-				if got := serialFill.Eccentricity(src); got != want {
-					t.Errorf("%s workers=%d: bottom-up with serial frontier fill ecc(%d) = %d, top-down says %d",
-						name, workers, src, got, want)
+				if got := mixed.Eccentricity(src); got != want {
+					t.Errorf("%s workers=%d: adaptive with parallel bottom-up ecc(%d) = %d, top-down says %d",
+						name, max(workers, 2), src, got, want)
 				}
 			}
+			switches += mixed.DirectionSwitches()
 		}
+	}
+	if switches == 0 {
+		t.Fatal("no catalog traversal switched direction: the parallel bottom-up case never ran")
 	}
 }
 

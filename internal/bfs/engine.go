@@ -45,11 +45,13 @@ type Engine struct {
 	alpha, beta int
 	// serialCutoff is the item count below which a pass that could run
 	// under par.ForWorker runs inline instead (parallelPass): the
-	// bottom-up scan over all n vertices, its frontier-bitset fill, the
-	// −1 fill and per-level writes of Distances' dist array, and the
-	// MS-BFS pull kernel and its O(touched) resets. Small passes do not
-	// amortize the goroutine spawn and join. Top-down levels always
-	// expand serially (topDownSerial).
+	// bottom-up scan over all n vertices, the −1 fill of Distances' dist
+	// array, and the MS-BFS pull kernel. Small passes do not amortize the
+	// goroutine spawn and join. Top-down levels always expand serially
+	// (topDownSerial), and the passes that write one array at frontier-
+	// indexed, i.e. random, positions (marking bottom-up joiners,
+	// Distances' per-level writes, the MS-BFS frontier swap and resets)
+	// run serially too.
 	serialCutoff int
 
 	wl1, wl2 []graph.Vertex
@@ -60,9 +62,6 @@ type Engine struct {
 	// frontier concatenation.
 	catOffs []int
 
-	// front is the current-frontier bitset (bit v of word v/64) for
-	// parallel bottom-up steps, allocated on the first direction switch.
-	front []uint64
 	// buCands carries the still-unvisited vertices between consecutive
 	// serial bottom-up levels, so only the first level of a bottom-up run
 	// pays the O(n) scan; later levels scan just the shrinking remainder.
@@ -265,14 +264,6 @@ func (e *Engine) Distances(src graph.Vertex, dist []int32) int32 {
 	}
 	dist[src] = 0
 	return e.run("dist", []graph.Vertex{src}, -1, true, func(level int32, frontier []graph.Vertex) {
-		if e.parallelPass(len(frontier)) {
-			e.parForWorker(len(frontier), 0, func(_, lo, hi int) {
-				for _, v := range frontier[lo:hi] {
-					dist[v] = level
-				}
-			})
-			return
-		}
 		for _, v := range frontier {
 			dist[v] = level
 		}
@@ -498,19 +489,25 @@ func topDownSerial(offsets []int64, targets []graph.Vertex, cnt []uint32, epoch 
 
 // bottomUpStep implements the topology-driven pass of Algorithm 2: every
 // unvisited vertex scans its adjacency list for a neighbor in the current
-// frontier. The serial and parallel variants test frontier membership
-// differently; bottomUpSerial explains the trick that makes the serial
-// probe free. reuseCands is true when the previous level also ran the
-// serial bottom-up step, in which case its leftover unvisited list replaces
-// the O(n) scan. It picks the kernel and returns the one it ran, which
-// run uses as the level's label.
+// frontier. Both kernels probe the visited marks instead of a frontier set
+// and defer marking their joiners to one pass here, after the scan;
+// bottomUpSerial explains why that probe is exact. reuseCands is true when
+// the previous level also ran the serial bottom-up step, in which case its
+// leftover unvisited list replaces the O(n) scan. It picks the kernel and
+// returns the one it ran, which run uses as the level's label.
 func (e *Engine) bottomUpStep(reuseCands bool) obs.Step {
+	step := obs.StepBottomUpSerial
 	if e.parallelPass(e.g.NumVertices()) {
 		e.bottomUpParallel()
-		return obs.StepBottomUpParallel
+		step = obs.StepBottomUpParallel
+	} else {
+		e.bottomUpSerial(reuseCands)
 	}
-	e.bottomUpSerial(reuseCands)
-	return obs.StepBottomUpSerial
+	cnt, epoch := e.marks.cnt, e.marks.epoch
+	for _, v := range e.wl2 {
+		cnt[v] = epoch
+	}
+	return step
 }
 
 // bottomUpSerial probes the visited marks directly instead of building a
@@ -519,11 +516,9 @@ func (e *Engine) bottomUpStep(reuseCands bool) obs.Step {
 // *in the current frontier* — the two membership tests accept exactly the
 // same probes. That makes the frontier structure redundant; what remains is
 // keeping the scan's view of "visited" frozen at the current level, so
-// joiners are recorded in wl2 and marked in a deferred pass after the scan
-// (in ascending vertex order, i.e. sequential writes). This is the seed
-// revision's scheme, kept serially because it beats a bitset frontier by
-// the full cost of building one per level; measured on the soc stand-in's
-// two bottom-up levels it is 1.3–1.5× faster than the bitset variant.
+// joiners are only recorded in wl2, and bottomUpStep marks them after the
+// scan. Measured on the soc stand-in's two bottom-up levels this is
+// 1.3–1.5× faster than probing a frontier bitset built per level.
 // The step also maintains buCands: the unvisited vertices that did NOT
 // join this level, i.e. exactly the candidates the next bottom-up level
 // must scan. The first level of a bottom-up run builds it from the O(n)
@@ -575,44 +570,20 @@ func (e *Engine) bottomUpSerial(reuseCands bool) {
 		}
 		e.buCands = kept
 	}
-	for _, v := range e.wl2 {
-		e.marks.cnt[v] = e.marks.epoch
-	}
 }
 
-// bottomUpParallel cannot use the deferred-marking trick: workers mark
-// their own range's joiners immediately (no atomics needed — each vertex
-// is touched only by its range owner), so a concurrently marked level-L+1
-// vertex would contaminate a plain visited probe. Frontier membership is
-// therefore tested against a dedicated bitset snapshot of wl1, which is
-// also what keeps the probe's working set dense (n/8 bytes) when the scan
-// is spread over cores.
+// bottomUpParallel is bottomUpSerial's O(n) scan split into vertex ranges
+// across the workers. The workers only read the visited marks, so the
+// deferred-marking probe holds unchanged and needs no atomics; each worker
+// appends its range's joiners to its own buffer, and the buffers are
+// concatenated into wl2 after the join for bottomUpStep to mark. It keeps
+// no candidate list.
 //
 //fdiam:hotpath
 func (e *Engine) bottomUpParallel() {
 	offsets, targets := e.g.Offsets(), e.g.Targets()
 	n := e.g.NumVertices()
-	if words := (n + 63) / 64; len(e.front) < words {
-		//fdiamlint:ignore hotalloc grow-once frontier bitset, allocated on first use and reused for the engine's lifetime
-		e.front = make([]uint64, words)
-	}
-	front := e.front
-	clear(front)
-	workers := e.workers
-	if e.parallelPass(len(e.wl1)) {
-		// Frontier vertices of one range may share a word with another
-		// range's, so concurrent setters need the atomic OR.
-		e.parForWorker(len(e.wl1), 0, func(_, lo, hi int) {
-			for _, v := range e.wl1[lo:hi] {
-				atomic.OrUint64(&front[v>>6], 1<<(v&63))
-			}
-		})
-	} else {
-		for _, v := range e.wl1 {
-			front[v>>6] |= 1 << (v & 63)
-		}
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < e.workers; w++ {
 		e.bufs[w] = e.bufs[w][:0]
 	}
 	cnt, epoch := e.marks.cnt, e.marks.epoch
@@ -624,8 +595,7 @@ func (e *Engine) bottomUpParallel() {
 			}
 			adj := targets[offsets[v]:offsets[v+1]]
 			for _, nb := range adj {
-				if front[nb>>6]&(1<<(nb&63)) != 0 {
-					cnt[v] = epoch
+				if cnt[nb] == epoch {
 					buf = append(buf, graph.Vertex(v))
 					break
 				}

@@ -248,20 +248,12 @@ func (e *Engine) ensureMS(n int) {
 }
 
 // msReset zeroes the words the previous batch touched — O(touched), not
-// O(n). Dirty vertices are distinct (first-touch detection in the
-// kernels), so the parallel reset is race-free.
+// O(n).
 func (e *Engine) msReset() {
 	ms := &e.ms
-	clear := func(lo, hi int) {
-		for _, v := range ms.dirty[lo:hi] {
-			ms.seen[v] = 0
-			ms.frontier[v] = 0
-		}
-	}
-	if e.parallelPass(len(ms.dirty)) {
-		e.parForWorker(len(ms.dirty), 2048, func(_, lo, hi int) { clear(lo, hi) })
-	} else {
-		clear(0, len(ms.dirty))
+	for _, v := range ms.dirty {
+		ms.seen[v] = 0
+		ms.frontier[v] = 0
 	}
 	ms.dirty = ms.dirty[:0]
 	ms.active = ms.active[:0]
@@ -396,30 +388,17 @@ func (e *Engine) msPull(live uint64) uint64 {
 // msSwapFrontier retires the old frontier and installs the new one: clear
 // the old active list's frontier words, then move next into frontier over
 // the new list (zeroing next, restoring the between-level invariant). Both
-// passes touch distinct vertices, so they parallelize across the workers
-// when large — the commit work runs alongside the gather step's worker team
-// instead of serially.
+// passes write frontier-indexed, i.e. random, positions, which split over
+// two workers measured no faster than one, so they run serially.
 //
 //fdiam:hotpath
 func (e *Engine) msSwapFrontier() {
 	ms := &e.ms
-	parallel := e.parallelPass(len(ms.active) + len(ms.nextAct))
-	clearOld := func(lo, hi int) {
-		for _, v := range ms.active[lo:hi] {
-			ms.frontier[v] = 0
-		}
+	for _, v := range ms.active {
+		ms.frontier[v] = 0
 	}
-	install := func(lo, hi int) {
-		for _, w := range ms.nextAct[lo:hi] {
-			ms.frontier[w] = ms.next[w]
-			ms.next[w] = 0
-		}
+	for _, w := range ms.nextAct {
+		ms.frontier[w] = ms.next[w]
+		ms.next[w] = 0
 	}
-	if parallel {
-		e.parForWorker(len(ms.active), 2048, func(_, lo, hi int) { clearOld(lo, hi) })
-		e.parForWorker(len(ms.nextAct), 2048, func(_, lo, hi int) { install(lo, hi) })
-		return
-	}
-	clearOld(0, len(ms.active))
-	install(0, len(ms.nextAct))
 }
