@@ -1,15 +1,14 @@
 // Package core is the lint negative control: a deliberately broken package,
 // in its own nested module so the root ./... patterns never see it, that
-// the analyzers must fail. Each function below violates one of the
-// interprocedural rules; TestNegativeFixture (cmd/fdiamlint) pins every
-// finding, crosspkg.go's included. If a refactor of the fact substrate or
-// the driver silently stops detecting one of these shapes, this fixture
-// is the tripwire.
+// the analyzers must fail. Each function below violates the rule of one
+// analyzer, and quiet carries a stale directive; TestNegativeFixture
+// (cmd/fdiamlint) pins every finding. If a refactor of the driver silently
+// stops detecting one of these shapes, this fixture is the tripwire.
 package core
 
 import (
-	"context"
-	"time"
+	"log/slog"
+	"os"
 )
 
 type solver struct {
@@ -25,20 +24,26 @@ func (s *solver) clobberLB(v int32) {
 	s.bound = v
 }
 
-// kernel outsources its allocation to a helper one call away — invisible
-// to syntactic hotalloc, flagged by deepalloc via the Allocates fact.
+// kernel allocates per call inside a hot path: hotalloc must flag it.
 //
 //fdiam:hotpath
 func kernel(n int) []int32 {
-	return scratch(n)
-}
-
-func scratch(n int) []int32 {
 	return make([]int32, n)
 }
 
-// Solve receives a ctx, blocks, and never consults it: ctxflow rule C.
-func Solve(ctx context.Context, c chan int32) int32 {
-	time.Sleep(time.Millisecond)
-	return <-c
+// cleanup drops os.Remove's error: errdrop must flag it.
+func cleanup(path string) {
+	os.Remove(path)
+}
+
+// report logs with a camelCase key: logkeys must flag it.
+func report(n int) {
+	slog.Info("solved", "vertexCount", n)
+}
+
+// quiet carries a reasoned directive with nothing to suppress, which the
+// driver must report as stale.
+func quiet() int {
+	//fdiamlint:ignore errdrop no call here drops an error, so this directive is stale
+	return 1
 }

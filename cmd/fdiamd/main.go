@@ -139,13 +139,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	errc := make(chan error, 1)
 	// Serve returns http.ErrServerClosed after the Shutdown below; any
 	// other error (listener died) aborts the daemon.
-	//fdiamlint:ignore nakedgo http.Server accept-loop goroutine, joined via errc on shutdown
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(out, "fdiamd: listening on http://%s\n", ln.Addr())
 	if *ckDir != "" {
 		// Boot-time recovery runs behind the listener so a daemon with a
 		// backlog of crashed solves still answers health checks instantly.
-		//fdiamlint:ignore nakedgo boot-time recovery, bounded by the solve slot pool and baseCtx
 		go func() {
 			if n := api.ResumeOrphans(context.Background()); n > 0 {
 				fmt.Fprintf(out, "fdiamd: finished %d orphaned solve(s) from %s\n", n, *ckDir)

@@ -35,9 +35,9 @@ type listedPackage struct {
 // lint loads the packages matched by patterns (resolved in dir) together
 // with their test variants and the export data of every dependency, runs
 // the analyzer suite over each matched package, and prints diagnostics to
-// stdout. `go list -deps` lists dependencies first, so the facts of every
-// package a unit imports are in memory before the unit is reached. It
-// returns the process exit code: 0 clean, 1 load failure, 2 diagnostics.
+// stdout. Only matched packages are parsed and type-checked; everything
+// they import comes from export data. It returns the process exit code:
+// 0 clean, 1 load failure, 2 diagnostics.
 func lint(dir string, patterns []string, stdout, stderr io.Writer) int {
 	cmd := exec.Command("go", append([]string{
 		"list", "-e", "-test", "-deps", "-export",
@@ -77,32 +77,27 @@ func lint(dir string, patterns []string, stdout, stderr io.Writer) int {
 	}
 
 	fset := token.NewFileSet()
-	// Function summaries are keyed by fully qualified name, so one set
-	// accumulated in dependency order serves every later package.
-	facts := analysis.Facts{}
 	exports := exportImporter(fset, packageFile)
 	var diags []analysis.Diagnostic
 	for _, p := range pkgs {
-		if p.Standard || len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test") {
-			continue // the stdlib has curated facts; .test is a generated main
+		// A matched package with an in-package test variant ("p [p.test]":
+		// p's files plus its _test.go files) is analyzed as that variant.
+		// Dependencies, the stdlib and generated .test mains are skipped.
+		if p.DepOnly || hasTestVariant[p.ImportPath] || p.Standard ||
+			len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test") {
+			continue
 		}
-		// Dependencies are summarized, not reported on. So is a matched
-		// package with an in-package test variant ("p [p.test]": p's files
-		// plus its _test.go files): the variant is analyzed in its place,
-		// but p's dependents import the plain p.
-		report := !p.DepOnly && !hasTestVariant[p.ImportPath]
 		imp := importerFunc(func(path string) (*types.Package, error) {
 			if mapped, ok := p.ImportMap[path]; ok {
 				path = mapped // e.g. "p" → "p [p.test]" in p's external test
 			}
 			return exports.Import(path)
 		})
-		d, own, err := checkPackage(fset, p, imp, facts, report)
+		d, err := checkPackage(fset, p, imp)
 		if err != nil {
 			fmt.Fprintf(stderr, "fdiamlint: %s: %v\n", p.ImportPath, err)
 			return 1
 		}
-		facts.Merge(own)
 		diags = append(diags, d...)
 	}
 	if len(diags) == 0 {
@@ -112,17 +107,14 @@ func lint(dir string, patterns []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// checkPackage parses and type-checks one listed package and builds its
-// function summaries on top of deps. With report set it also runs the full
-// analyzer suite, stale-directive check included. It returns the surviving
-// diagnostics plus the package's own summaries.
-func checkPackage(fset *token.FileSet, p *listedPackage, imp types.Importer,
-	deps analysis.Facts, report bool) ([]analysis.Diagnostic, analysis.Facts, error) {
+// checkPackage parses and type-checks one listed package and runs the
+// full analyzer suite over it, stale-directive check included.
+func checkPackage(fset *token.FileSet, p *listedPackage, imp types.Importer) ([]analysis.Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -132,16 +124,10 @@ func checkPackage(fset *token.FileSet, p *listedPackage, imp types.Importer,
 	info := analysis.NewInfo()
 	pkg, err := (&types.Config{Importer: imp}).Check(pkgPath, fset, files, info)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !report {
-		return nil, analysis.BuildSummaries(fset, files, pkg, info, deps).Export(), nil
-	}
-	res, err := analysis.RunSuite(analysis.All(), fset, files, pkg, info, analysis.SuiteOptions{
-		Deps:         deps,
-		ReportUnused: true,
-	})
-	return res.Diagnostics, res.Facts, err
+	return analysis.RunSuite(analysis.All(), fset, files, pkg, info,
+		analysis.SuiteOptions{ReportUnused: true})
 }
 
 // exportImporter resolves listed package paths from compiler export data,

@@ -3,13 +3,12 @@
 //
 //	fdiamlint ./...
 //
-// It loads the matched packages, their test variants and the compiler
+// It lists the matched packages, their test variants and the compiler
 // export data of every dependency in one `go list -e -test -deps -export`
-// call, summarizes each package's functions in dependency order, and runs
-// the full suite over every matched package. Function summaries stay in
-// memory; the interprocedural analyzers (ctxflow, deepalloc) read the
-// summaries of every package a unit imports. Reasoned //fdiamlint:ignore
-// directives that suppress nothing are reported as stale.
+// call, then parses and type-checks only the matched packages (test files
+// included) against that export data and runs the full suite over each.
+// Reasoned //fdiamlint:ignore directives that suppress nothing are
+// reported as stale.
 //
 // Exit status: 0 clean, 1 usage or load failure (a file that does not
 // parse or type-check, _test.go files included), 2 diagnostics reported.

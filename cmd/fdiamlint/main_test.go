@@ -9,20 +9,19 @@ import (
 )
 
 // TestNegativeFixture runs the driver over the deliberately broken module
-// in ci/negative and pins every finding: one per interprocedural analyzer,
-// a deepalloc finding that needs the Allocates fact of an imported
-// package, and a reasoned directive that suppresses nothing.
+// in ci/negative and pins every finding: one per analyzer, and a reasoned
+// directive that suppresses nothing.
 func TestNegativeFixture(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := lint(filepath.Join("..", "..", "ci", "negative"), []string{"./..."}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
 	}
 	want := []string{
-		"internal/core/broken.go:25:2: boundmono: write to solver.bound outside a //fdiam:boundsetter function",
-		"internal/core/broken.go:33:9: deepalloc: negative.example/fdiam/internal/core.scratch allocates (make)",
-		"internal/core/broken.go:41:1: ctxflow: Solve receives ctx but drops it on a blocking path",
-		"internal/core/crosspkg.go:10:9: deepalloc: negative.example/fdiam/internal/buf.Grow allocates (make)",
-		"internal/core/crosspkg.go:16:2: suppress: stale //fdiamlint:ignore nakedgo directive",
+		"internal/core/broken.go:24:2: boundmono: write to solver.bound outside a //fdiam:boundsetter function",
+		"internal/core/broken.go:31:9: hotalloc: make in //fdiam:hotpath function allocates per call",
+		"internal/core/broken.go:36:2: errdrop: os.Remove discards its error result",
+		"internal/core/broken.go:41:22: logkeys: slog key \"vertexCount\" is not snake_case",
+		"internal/core/broken.go:47:2: suppress: stale //fdiamlint:ignore errdrop directive",
 	}
 	got := strings.Split(strings.TrimSpace(stdout.String()), "\n")
 	if len(got) != len(want) {

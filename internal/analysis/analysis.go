@@ -1,10 +1,11 @@
 // Package analysis is a minimal, dependency-free analogue of the
 // golang.org/x/tools/go/analysis framework, carrying the project-specific
-// analyzers that machine-check fdiam's concurrency and hot-path rules
-// (DESIGN.md §8). The container this repo builds in has no module network
-// access, so the framework is reimplemented on the stdlib go/ast + go/types
-// packages with the same shape as the upstream API: if x/tools ever becomes
-// available, each Analyzer ports by swapping the import.
+// analyzers that machine-check fdiam's bound-monotonicity, hot-path,
+// error-handling and logging rules (DESIGN.md §8). The container this repo
+// builds in has no module network access, so the framework is
+// reimplemented on the stdlib go/ast + go/types packages with the same
+// shape as the upstream API: if x/tools ever becomes available, each
+// Analyzer ports by swapping the import.
 //
 // Analyzers are pure functions from a type-checked package (a Pass) to
 // diagnostics. Drivers — cmd/fdiamlint and the analysistest harness — own
@@ -44,10 +45,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Summaries is the package's fact substrate — per-function summaries
-	// plus imported dependency facts — built once per suite run and shared
-	// by the interprocedural analyzers (ctxflow, deepalloc).
-	Summaries *Summaries
 	// Report delivers a diagnostic to the driver. Drivers install a
 	// suppression-aware sink; analyzers should call Reportf instead.
 	Report func(Diagnostic)
@@ -84,12 +81,9 @@ func WithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// All returns the project's analyzer suite in a stable order. The first
-// five are the intra-procedural checks from PR 3; the last three ride on
-// the interprocedural fact substrate (callgraph.go, facts.go).
+// All returns the project's analyzer suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NakedGo, AtomicField, HotAlloc, ErrDrop, LogKeys,
-		CtxFlow, DeepAlloc, BoundMono}
+	return []*Analyzer{BoundMono, HotAlloc, ErrDrop, LogKeys}
 }
 
 // ignoreKey locates one suppression directive: diagnostics from the named
@@ -126,11 +120,11 @@ func (d *directive) exemptFromHygiene() bool {
 
 // Suppressor indexes //fdiamlint:ignore directives across a package.
 //
-//	//fdiamlint:ignore nakedgo server lifecycle goroutine, not compute work
-//	go s.srv.Serve(ln)
+//	//fdiamlint:ignore hotalloc grow-once buffer, reused once capacity suffices
+//	buf = make([]int32, n)
 //
 // A directive must name the analyzer and give a non-empty justification;
-// a bare `//fdiamlint:ignore nakedgo` suppresses nothing, and is itself
+// a bare `//fdiamlint:ignore hotalloc` suppresses nothing, and is itself
 // reported outside testdata, so every suppression in the tree documents
 // why the rule does not apply.
 type Suppressor struct {
@@ -207,27 +201,16 @@ func (s *Suppressor) HygieneDiagnostics(reportUnused bool) []Diagnostic {
 
 // SuiteOptions configures one RunSuite invocation.
 type SuiteOptions struct {
-	// Deps carries the function summaries of the package's dependencies.
-	// Nil means stdlib tables only.
-	Deps Facts
 	// ReportUnused enables stale-suppression detection. Only meaningful
 	// when the full analyzer suite runs (cmd/fdiamlint always sets it): a
 	// partial run would misreport directives for the analyzers skipped.
 	ReportUnused bool
 }
 
-// SuiteResult is RunSuite's output: surviving diagnostics plus the
-// package's own function summaries, for its dependents.
-type SuiteResult struct {
-	Diagnostics []Diagnostic
-	Facts       Facts
-}
-
-// RunSuite builds the package's fact substrate, applies the analyzers, and
-// appends the suppression-hygiene findings.
+// RunSuite applies the analyzers to one package and appends the
+// suppression-hygiene findings, returning the surviving diagnostics.
 func RunSuite(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, opts SuiteOptions) (SuiteResult, error) {
-	sums := BuildSummaries(fset, files, pkg, info, opts.Deps)
+	pkg *types.Package, info *types.Info, opts SuiteOptions) ([]Diagnostic, error) {
 	sup := NewSuppressor(fset, files)
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -237,7 +220,6 @@ func RunSuite(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Summaries: sums,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
@@ -247,21 +229,17 @@ func RunSuite(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 			}
 		}
 		if err := a.Run(pass); err != nil {
-			return SuiteResult{Diagnostics: out}, fmt.Errorf("analyzer %s: %w", a.Name, err)
+			return out, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	out = append(out, sup.HygieneDiagnostics(opts.ReportUnused)...)
-	return SuiteResult{Diagnostics: out, Facts: sums.Export()}, nil
+	return append(out, sup.HygieneDiagnostics(opts.ReportUnused)...), nil
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult.
 func NewInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 }

@@ -124,7 +124,7 @@ func boundsetterMarked(doc *ast.CommentGroup) bool {
 // solverBoundFields resolves the package's `solver` struct type and
 // returns its bound-state field objects. Packages without a solver type
 // (everything outside internal/core and the analyzer fixtures) get an
-// empty map, which disables boundmono and the WritesBounds fact.
+// empty map, which disables boundmono.
 func solverBoundFields(pkg *types.Package) map[*types.Var]bool {
 	if pkg == nil {
 		return nil
@@ -173,14 +173,4 @@ func boundFieldRoot(expr ast.Expr, info *types.Info, bounds map[*types.Var]bool)
 			return "", false
 		}
 	}
-}
-
-// rootsBoundField is boundFieldRoot for callers that only need the verdict
-// (the fact substrate's WritesBounds detector).
-func rootsBoundField(expr ast.Expr, info *types.Info, bounds map[*types.Var]bool) bool {
-	if bounds == nil {
-		return false
-	}
-	_, ok := boundFieldRoot(expr, info, bounds)
-	return ok
 }

@@ -11,20 +11,6 @@ import (
 	"fdiam/internal/analysis/analysistest"
 )
 
-func TestNakedGo(t *testing.T) {
-	analysistest.Run(t, analysis.NakedGo, "nakedgo", "example.com/nakedgo")
-}
-
-// TestNakedGoExemptsPar type-checks the same kind of code under the
-// internal/par import path, where spawning is the package's job.
-func TestNakedGoExemptsPar(t *testing.T) {
-	analysistest.Run(t, analysis.NakedGo, "nakedgo_par", "fdiam/internal/par")
-}
-
-func TestAtomicField(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicField, "atomicfield", "example.com/atomicfield")
-}
-
 func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, analysis.HotAlloc, "hotalloc", "example.com/hotalloc")
 }
@@ -37,42 +23,14 @@ func TestLogKeys(t *testing.T) {
 	analysistest.Run(t, analysis.LogKeys, "logkeys", "example.com/logkeys")
 }
 
-func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, analysis.CtxFlow, "ctxflow", "example.com/internal/core")
-}
-
-func TestDeepAlloc(t *testing.T) {
-	analysistest.Run(t, analysis.DeepAlloc, "deepalloc", "example.com/deepalloc")
-}
-
-// TestDeepAllocCycle pins the worklist fixpoint's behavior on a recursive
-// call graph: the allocation on the far side of a ping/pong cycle must
-// reach the kernel's callee, and a clean self-recursive helper must not be
-// tainted by the cycle alone.
-func TestDeepAllocCycle(t *testing.T) {
-	analysistest.Run(t, analysis.DeepAlloc, "callcycle", "example.com/callcycle")
-}
-
 func TestBoundMono(t *testing.T) {
 	analysistest.Run(t, analysis.BoundMono, "boundmono", "example.com/boundmono")
-}
-
-// TestFactPropagation runs ctxflow and deepalloc over a package whose only
-// blocking and allocating paths cross a package boundary: the dependency
-// fixture is summarized separately and its facts are handed to the target,
-// as cmd/fdiamlint does between packages.
-func TestFactPropagation(t *testing.T) {
-	analysistest.RunWithDeps(t,
-		[]*analysis.Analyzer{analysis.CtxFlow, analysis.DeepAlloc},
-		"factuse", "example.com/internal/core",
-		[]analysistest.Dep{{Dir: "factdep", Path: "example.com/factdep"}})
 }
 
 // TestAllStableOrder pins the suite composition: the usage text and CI
 // logs both assume this order.
 func TestAllStableOrder(t *testing.T) {
-	want := []string{"nakedgo", "atomicfield", "hotalloc", "errdrop", "logkeys",
-		"ctxflow", "deepalloc", "boundmono"}
+	want := []string{"boundmono", "hotalloc", "errdrop", "logkeys"}
 	all := analysis.All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))
@@ -94,9 +52,9 @@ func TestSuppressorRequiresReason(t *testing.T) {
 	src := `package p
 
 func f() {
-	//fdiamlint:ignore nakedgo justified because this is a test
+	//fdiamlint:ignore errdrop justified because this is a test
 	a := 1
-	//fdiamlint:ignore nakedgo
+	//fdiamlint:ignore errdrop
 	b := 2
 	_, _ = a, b
 }
@@ -109,14 +67,14 @@ func f() {
 	sup := analysis.NewSuppressor(fset, []*ast.File{f})
 	// Line 5 (a := 1) is under a reasoned directive on line 4.
 	reasoned := posOnLine(fset, f, 5)
-	if !sup.Suppressed("nakedgo", fset, reasoned) {
+	if !sup.Suppressed("errdrop", fset, reasoned) {
 		t.Errorf("reasoned directive did not suppress the next line")
 	}
-	if sup.Suppressed("errdrop", fset, reasoned) {
+	if sup.Suppressed("hotalloc", fset, reasoned) {
 		t.Errorf("directive suppressed a different analyzer")
 	}
 	// Line 7 (b := 2) follows a reasonless directive, which must be inert.
-	if bare := posOnLine(fset, f, 7); sup.Suppressed("nakedgo", fset, bare) {
+	if bare := posOnLine(fset, f, 7); sup.Suppressed("errdrop", fset, bare) {
 		t.Errorf("reasonless directive suppressed a diagnostic")
 	}
 }
@@ -128,11 +86,11 @@ func TestSuppressionHygiene(t *testing.T) {
 	src := `package p
 
 func f() {
-	//fdiamlint:ignore nakedgo hit below
+	//fdiamlint:ignore errdrop hit below
 	a := 1
-	//fdiamlint:ignore nakedgo never matched by any diagnostic
+	//fdiamlint:ignore errdrop never matched by any diagnostic
 	b := 2
-	//fdiamlint:ignore nakedgo
+	//fdiamlint:ignore errdrop
 	c := 3
 	_, _, _ = a, b, c
 }
@@ -143,7 +101,7 @@ func f() {
 		t.Fatal(err)
 	}
 	sup := analysis.NewSuppressor(fset, []*ast.File{f})
-	if !sup.Suppressed("nakedgo", fset, posOnLine(fset, f, 5)) {
+	if !sup.Suppressed("errdrop", fset, posOnLine(fset, f, 5)) {
 		t.Fatalf("directive on line 4 did not suppress line 5")
 	}
 
@@ -181,7 +139,7 @@ func TestHygieneExemptsTestdataAndTests(t *testing.T) {
 		"/abs/repo/internal/analysis/testdata/src/x/p.go",
 		"serve_fault_test.go",
 	} {
-		src := "package p\n\n//fdiamlint:ignore nakedgo\nvar X = 1\n"
+		src := "package p\n\n//fdiamlint:ignore errdrop\nvar X = 1\n"
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 		if err != nil {

@@ -133,12 +133,12 @@ func New(g *graph.Graph, workers int) *Engine {
 }
 
 // parForWorker runs a chunked parallel-for across the engine's workers.
-// It runs once per BFS level from every parallel kernel, so it is hot-path
-// audited itself rather than tainting each caller's deepalloc summary.
+// It runs once per BFS level from every parallel kernel. A dispatched call
+// allocates the body closure, its job and workers-1 goroutines once per
+// parallel level, amortized over the whole frontier.
 //
 //fdiam:hotpath
 func (e *Engine) parForWorker(n, chunk int, body func(worker, lo, hi int)) {
-	//fdiamlint:ignore deepalloc a dispatched call allocates the body closure, its job and WaitGroup, and workers-1 goroutines once per parallel level, amortized over the whole frontier
 	par.ForWorker(n, e.workers, chunk, body)
 }
 

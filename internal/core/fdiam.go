@@ -19,10 +19,7 @@ import (
 // For disconnected inputs the result carries Infinite=true and Diameter
 // holds the largest eccentricity over all connected components, matching
 // the paper's output convention.
-//
-//fdiamlint:ignore ctxflow compat facade kept for ctx-less callers; cancellable callers use DiameterCtx
 func Diameter(g *graph.Graph, opt Options) Result {
-	//fdiamlint:ignore ctxflow the facade's whole point is synthesizing the root ctx for DiameterCtx
 	return DiameterCtx(context.Background(), g, opt)
 }
 
@@ -162,7 +159,7 @@ func newSolver(g *graph.Graph, opt Options) *solver {
 		g:   g,
 		e:   e,
 		opt: opt,
-		//fdiamlint:ignore ctxflow constructor default only; DiameterCtx overwrites it with the caller's ctx before solving
+		// Constructor default; DiameterCtx sets the caller's ctx before solving.
 		ctx:         context.Background(),
 		ubCap:       -1,
 		winnowDepth: -1,

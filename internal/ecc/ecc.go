@@ -14,8 +14,6 @@ import (
 // parallelized over sources. Isolated vertices have eccentricity 0;
 // eccentricities are per connected component (BFS semantics). O(nm) — use
 // only on small graphs or as ground truth.
-//
-//fdiamlint:ignore ctxflow brute-force ground truth; kept ctx-less so oracle call sites stay uncluttered
 func All(g *graph.Graph, workers int) []int32 {
 	n := g.NumVertices()
 	out := make([]int32, n)
@@ -38,8 +36,6 @@ func All(g *graph.Graph, workers int) []int32 {
 
 // Diameter returns the brute-force diameter (largest eccentricity over all
 // components). Ground truth for tests.
-//
-//fdiamlint:ignore ctxflow brute-force ground truth; kept ctx-less so oracle call sites stay uncluttered
 func Diameter(g *graph.Graph, workers int) int32 {
 	var d int32
 	for _, e := range All(g, workers) {

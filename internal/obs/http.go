@@ -49,7 +49,6 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	}
 	s := &Server{ln: ln, srv: &http.Server{Handler: NewMux(reg)}}
 	// Serve returns http.ErrServerClosed once Close shuts the server down.
-	//fdiamlint:ignore nakedgo server lifecycle goroutine owned by Server, stopped via Close
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }

@@ -3,7 +3,9 @@ package obs_test
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"testing"
+	"time"
 
 	"fdiam/internal/core"
 	"fdiam/internal/obs"
@@ -53,5 +55,52 @@ func TestServeEndpoints(t *testing.T) {
 		if code, _ := get(t, base+path); code != http.StatusOK {
 			t.Errorf("%s status %d, want 200", path, code)
 		}
+	}
+}
+
+// TestLifecycleGoroutinesJoined checks that the package's background
+// goroutines exit once stopped: LogProgress's ticker, the runtime sampler
+// and the introspection server's accept loop. The goroutine count must
+// fall back to its value before any of them started.
+func TestLifecycleGoroutinesJoined(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	run := obs.NewRun(obs.Config{})
+	var buf syncBuffer
+	stopProgress := run.LogProgress(&buf, time.Millisecond)
+	stopSampler := obs.StartRuntimeSampler(obs.NewRegistry(), time.Millisecond)
+	srv, err := obs.Serve("127.0.0.1:0", obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	resp, err := client.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	for deadline := time.Now().Add(2 * time.Second); buf.Len() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("LogProgress never wrote a line")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	stopProgress()
+	stopSampler()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	client.CloseIdleConnections()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after stop, %d before start:\n%s",
+				runtime.NumGoroutine(), base, stacks[:runtime.Stack(stacks, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -91,7 +91,6 @@ func (r *Run) LogProgress(w io.Writer, interval time.Duration) (stop func()) {
 	}
 	done := make(chan struct{})
 	var once sync.Once
-	//fdiamlint:ignore nakedgo ticker lifecycle goroutine, terminated by the returned stop func
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()

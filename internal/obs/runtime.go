@@ -73,7 +73,6 @@ func StartRuntimeSampler(reg *Registry, interval time.Duration) (stop func()) {
 
 	done := make(chan struct{})
 	var once sync.Once
-	//fdiamlint:ignore nakedgo sampler lifecycle goroutine, terminated by the returned stop func
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()

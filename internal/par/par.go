@@ -24,7 +24,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type job struct {
 	n, chunk int
 	body     func(worker, lo, hi int)
-	cursor   int64 // atomic chunk cursor
+	cursor   atomic.Int64 // chunk cursor
 	wg       sync.WaitGroup
 }
 
@@ -65,7 +65,7 @@ func ForWorker(n, workers, chunk int, body func(worker, lo, hi int)) {
 //fdiam:hotpath
 func runChunks(j *job, id int) {
 	for {
-		lo := int(atomic.AddInt64(&j.cursor, int64(j.chunk))) - j.chunk
+		lo := int(j.cursor.Add(int64(j.chunk))) - j.chunk
 		if lo >= j.n {
 			return
 		}

@@ -173,7 +173,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// A job outlives its submitting request: the solve keeps the request's
 	// ID and logger but not its cancellation.
 	ctx := obs.ContextWithLogger(context.WithoutCancel(r.Context()), lg)
-	//fdiamlint:ignore nakedgo async job solve, bounded by the admission ledger and slot pool, joined via inflight on drain
 	go s.runJob(ctx, j, req)
 	writeJSON(w, http.StatusAccepted, s.jobResponseFor(j))
 }

@@ -163,7 +163,8 @@ type Server struct {
 // but cannot be opened.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	//fdiamlint:ignore ctxflow server-lifetime root: baseCtx is deliberately not a child of any request ctx (see solve-context layering below)
+	// baseCtx is the server-lifetime root, deliberately not a child of any
+	// request ctx (see the solve-context layering below).
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
@@ -236,7 +237,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	// Shutdown is a cold path; a watcher goroutine bridging WaitGroup to
 	// channel is the standard idiom and dies with the wait.
-	//fdiamlint:ignore nakedgo waitgroup-to-channel bridge, exits when the last request drains
 	go func() {
 		s.inflight.Wait()
 		close(done)

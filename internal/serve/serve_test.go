@@ -486,3 +486,67 @@ func TestHeapFlatAcrossDistinctMisses(t *testing.T) {
 		t.Fatalf("live heap grew %d bytes over 20 distinct misses (slack %d)", grown, slack)
 	}
 }
+
+// TestServerGoroutinesJoined checks that every goroutine the server starts
+// is joined once it shuts down: the plain solve, the streamed solve's
+// worker, the async job's solve, the par workers under Workers=2, and the
+// Shutdown bridge. The goroutine count must fall back to its value before
+// the server existed.
+func TestServerGoroutinesJoined(t *testing.T) {
+	base := runtime.NumGoroutine()
+	reg := obs.NewRegistry()
+	s, err := New(Config{Workers: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := ts.Client()
+
+	if resp, out := postGraph(t, ts, "", pathGraphBytes(t, 100)); resp.StatusCode != http.StatusOK || out.Diameter != 99 {
+		t.Fatalf("plain solve: status %d, %+v", resp.StatusCode, out)
+	}
+
+	resp, err := client.Post(ts.URL+"/diameter?stream=bounds", "application/octet-stream",
+		bytes.NewReader(pathGraphBytes(t, 120)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp.Body, 0)
+	resp.Body.Close()
+	if len(events) == 0 || events[len(events)-1].name != "result" {
+		t.Fatalf("streamed solve did not end in a result event: %+v", events)
+	}
+
+	resp, err = client.Post(ts.URL+"/jobs", "application/octet-stream", bytes.NewReader(pathGraphBytes(t, 150)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job jobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		t.Fatalf("decode job: %v", err)
+	}
+	resp.Body.Close()
+	if done := waitJobDone(t, ts.URL, job.JobID); done.Result == nil || done.Result.Diameter != 149 {
+		t.Fatalf("job result = %+v, want diameter 149", done.Result)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	ts.Close()
+	client.CloseIdleConnections()
+	http.DefaultClient.CloseIdleConnections() // waitJobDone polls through it
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after shutdown, %d before the server started:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -70,7 +70,6 @@ func streamSolve(w http.ResponseWriter, run *obs.Run, solve func() (response, bo
 		ran  bool
 	}
 	done := make(chan reply, 1)
-	//fdiamlint:ignore nakedgo solve worker for one SSE request; joined via the done channel before return
 	go func() {
 		resp, ran := solve()
 		done <- reply{resp, ran}
